@@ -11,6 +11,10 @@ Three families of rewrites preserve equivalence within a universe:
   removed, replaced by a star, or replaced by a one-move end, depending
   on the universe.
 
+Each rule is written once, with the side it acts on as a parameter: the
+public step functions and the fixpoint loop call the same per-side
+steps, and Right is Left with the options and the order swapped.
+
 ``canonical_form`` applies these bottom-up to a fixpoint.  Equivalent
 games in the same universe reach the same interned id, so equivalence of
 canonicalized games is id equality.
@@ -55,25 +59,48 @@ class ReversibleOption:
         return not self.open
 
 
-def _keep_maximal(opts, u: Universe):
-    """Structurally-least representatives of the maximal options."""
-    kept = []
-    for a in opts:
-        if any(ordering._ge(b, a, u) for b in kept):
-            continue
-        kept = [b for b in kept if not ordering._ge(a, b, u)]
-        kept.append(a)
-    return kept
+_SIDES = ("L", "R")
+_OTHER = {"L": "R", "R": "L"}
+_NAME = {"L": "Left", "R": "Right"}
 
 
-def _keep_minimal(opts, u: Universe):
+def _options(g: GameId, side: str) -> tuple:
+    """The options of g for the player named by side."""
+    return core.left_options(g) if side == "L" else core.right_options(g)
+
+
+def _replace(g: GameId, side: str, opts) -> GameId:
+    """g with the options of side replaced by opts."""
+    if side == "L":
+        return core.mk_game(opts, core.right_options(g))
+    return core.mk_game(core.left_options(g), opts)
+
+
+def _at_least(a: GameId, b: GameId, side: str, u: Universe) -> bool:
+    """Is a at least as good as b for the player named by side?"""
+    return ordering._ge(a, b, u) if side == "L" else ordering._ge(b, a, u)
+
+
+def _reversions(g: GameId, side: str, u: Universe):
+    """Each (A, B), in structural order, where the option A of g on side
+    reverts through B: an opponent's option of A no better than g for A's owner."""
+    for a in _options(g, side):
+        for b in _options(a, _OTHER[side]):
+            if _at_least(g, b, side, u):
+                yield a, b
+
+
+def _undominated(g: GameId, side: str, u: Universe) -> GameId:
+    """g without the options on side that a remaining sibling dominates,
+    or g itself when none is."""
+    opts = _options(g, side)
     kept = []
     for a in opts:
-        if any(ordering._ge(a, b, u) for b in kept):
+        if any(_at_least(b, a, side, u) for b in kept):
             continue
-        kept = [b for b in kept if not ordering._ge(b, a, u)]
+        kept = [b for b in kept if not _at_least(a, b, side, u)]
         kept.append(a)
-    return kept
+    return g if len(kept) == len(opts) else _replace(g, side, kept)
 
 
 def remove_dominated(g: GameId, u: Universe) -> GameId:
@@ -82,16 +109,7 @@ def remove_dominated(g: GameId, u: Universe) -> GameId:
     Mutually equivalent options collapse to the structurally least one.
     """
     core.require_member(g, u)
-    left = _keep_maximal(core.left_options(g), u)
-    right = _keep_minimal(core.right_options(g), u)
-    return core.mk_game(left, right)
-
-
-def _reversing_options(g: GameId, a: GameId, side: str, u: Universe):
-    """All B through which the option a of g reverts, in structural order."""
-    if side == "L":
-        return [b for b in core.right_options(a) if ordering._ge(g, b, u)]
-    return [b for b in core.left_options(a) if ordering._ge(b, g, u)]
+    return _undominated(_undominated(g, "L", u), "R", u)
 
 
 def find_reversible(g: GameId, side: str, u: Universe) -> Optional[ReversibleOption]:
@@ -102,24 +120,25 @@ def find_reversible(g: GameId, side: str, u: Universe) -> Optional[ReversibleOpt
     position is a dead end for that player.
     """
     core.require_member(g, u)
-    if side not in ("L", "R"):
+    if side not in _SIDES:
         raise ValueError("side must be 'L' or 'R'")
-    opts = core.left_options(g) if side == "L" else core.right_options(g)
-    for a in opts:
-        for b in _reversing_options(g, a, side, u):
-            replacement = core.left_options(b) if side == "L" else core.right_options(b)
-            return ReversibleOption(a, b, bool(replacement))
+    for a, b in _reversions(g, side, u):
+        return ReversibleOption(a, b, bool(_options(b, side)))
     return None
 
 
 def _splice(g: GameId, a: GameId, b: GameId, side: str) -> GameId:
-    if side == "L":
-        left = [x for x in core.left_options(g) if x != a] + \
-            list(core.left_options(b))
-        return core.mk_game(left, core.right_options(g))
-    right = [x for x in core.right_options(g) if x != a] + \
-        list(core.right_options(b))
-    return core.mk_game(core.left_options(g), right)
+    """g with its option a on side replaced by the options of b on side."""
+    rest = [x for x in _options(g, side) if x != a]
+    return _replace(g, side, rest + list(_options(b, side)))
+
+
+def _bypass_first_open(g: GameId, side: str, u: Universe) -> GameId:
+    """g with its first open reversible option on side bypassed, or g."""
+    for a, b in _reversions(g, side, u):
+        if _options(b, side):
+            return _splice(g, a, b, side)
+    return g
 
 
 def bypass_open_reversible(g: GameId, a: GameId, b: GameId, u: Universe) -> GameId:
@@ -129,17 +148,28 @@ def bypass_open_reversible(g: GameId, a: GameId, b: GameId, u: Universe) -> Game
     against both readings and the one that is genuinely open wins.
     """
     core.require_member(g, u)
-    left_reverts = a in core.left_options(g) and b in core.right_options(a) \
-        and ordering._ge(g, b, u)
-    right_reverts = a in core.right_options(g) and b in core.left_options(a) \
-        and ordering._ge(b, g, u)
-    if left_reverts and core.left_options(b):
-        return _splice(g, a, b, "L")
-    if right_reverts and core.right_options(b):
-        return _splice(g, a, b, "R")
-    if left_reverts or right_reverts:
+    reverting = [side for side in _SIDES if (a, b) in _reversions(g, side, u)]
+    for side in reverting:
+        if _options(b, side):
+            return _splice(g, a, b, side)
+    if reverting:
         raise DomainError("option reverts through an end; cannot bypass")
     raise DomainError("not an open reversible option of the game")
+
+
+def _is_fundamental(g: GameId, a: GameId, side: str) -> bool:
+    """is_fundamental_left, or its mirror, for the option a on side."""
+    core.require_member(g, Universe.DEAD_ENDING)
+    opts = _options(g, side)
+    if a not in opts:
+        raise ValueError("not a %s option of the game" % _NAME[side])
+    if len(opts) == 1:
+        return False
+    strong = outcomes.strong_left_outcome if side == "L" \
+        else outcomes.strong_right_outcome
+    win = Result[side]
+    return strong(g) == win and \
+        strong(_replace(g, side, [x for x in opts if x != a])) != win
 
 
 def is_fundamental_left(g: GameId, a: GameId) -> bool:
@@ -149,30 +179,29 @@ def is_fundamental_left(g: GameId, a: GameId) -> bool:
     first always wins with any dead Left-end alongside, so a lone option
     is never fundamental.
     """
-    core.require_member(g, Universe.DEAD_ENDING)
-    left = core.left_options(g)
-    if a not in left:
-        raise ValueError("not a Left option of the game")
-    if len(left) == 1:
-        return False
-    if outcomes.strong_left_outcome(g) != Result.L:
-        return False
-    removed = core.mk_game([x for x in left if x != a], core.right_options(g))
-    return outcomes.strong_left_outcome(removed) == Result.R
+    return _is_fundamental(g, a, "L")
 
 
 def is_fundamental_right(g: GameId, a: GameId) -> bool:
     """Mirror of is_fundamental_left for Right options."""
-    core.require_member(g, Universe.DEAD_ENDING)
-    right = core.right_options(g)
-    if a not in right:
-        raise ValueError("not a Right option of the game")
-    if len(right) == 1:
-        return False
-    if outcomes.strong_right_outcome(g) != Result.R:
-        return False
-    removed = core.mk_game(core.left_options(g), [x for x in right if x != a])
-    return outcomes.strong_right_outcome(removed) == Result.L
+    return _is_fundamental(g, a, "R")
+
+
+def _least_murder(g: GameId, side: str) -> tuple:
+    """(n, m) for the least n such that g is at least as good for side's
+    player as m, the murder of index n that is a dead end for them."""
+    ends = [core.rank(b) for _, b in _reversions(g, side, Universe.DEAD_ENDING)
+            if not _options(b, side)]
+    if not ends and _options(g, side):
+        raise DomainError("game has no %s option reverting through a %s-end"
+                          % (_NAME[side], _NAME[side]))
+    bound = min(ends) if ends else core.rank(g)
+    for n in range(bound + 1):
+        m = core.murder(n) if side == "L" else core.conjugate(core.murder(n))
+        if _at_least(g, m, side, Universe.DEAD_ENDING):
+            return n, m
+    raise RuntimeError("murder index scan exceeded its bound; every dead "
+                       "end compares against a murder of index <= rank")
 
 
 def minimal_murder_index(g: GameId) -> int:
@@ -183,54 +212,42 @@ def minimal_murder_index(g: GameId) -> int:
     rank of that end.
     """
     core.require_member(g, Universe.DEAD_ENDING)
-    bound = None
-    for a in core.left_options(g):
-        for b in _reversing_options(g, a, "L", Universe.DEAD_ENDING):
-            if core.is_left_end(b):
-                r = core.rank(b)
-                bound = r if bound is None else min(bound, r)
-    if bound is None:
-        if core.is_left_end(g):
-            bound = core.rank(g)
-        else:
-            raise DomainError(
-                "game has no Left option reverting through a Left-end")
-    for n in range(bound + 1):
-        if ordering._ge(g, core.murder(n), Universe.DEAD_ENDING):
-            return n
-    raise RuntimeError("murder index scan exceeded its bound; every dead "
-                       "Left end compares against a murder of index <= rank")
+    return _least_murder(g, "L")[0]
 
 
-def _end_reversible_left(g: GameId, u: Universe):
-    """Left options reverting through an end the opponent may leave Left in."""
-    hits = []
-    for a in core.left_options(g):
-        for b in _reversing_options(g, a, "L", u):
-            if core.is_left_end(b):
-                hits.append((a, b))
-                break
-    return hits
-
-
-def _end_reversible_right(g: GameId, u: Universe):
-    hits = []
-    for a in core.right_options(g):
-        for b in _reversing_options(g, a, "R", u):
-            if core.is_right_end(b):
-                hits.append((a, b))
-                break
-    return hits
-
-
-def _has_other_winning_left(g: GameId, a: GameId) -> bool:
-    return any(outcomes.right_result(x) == Result.L
-               for x in core.left_options(g) if x != a)
-
-
-def _has_other_winning_right(g: GameId, a: GameId) -> bool:
-    return any(outcomes.left_result(x) == Result.R
-               for x in core.right_options(g) if x != a)
+def _end_step(g: GameId, u: Universe) -> tuple:
+    """The first end-reversibility rewrite of g in u as (rule, side, result),
+    Left options first, or (None, None, g) when none applies.  The rules
+    of each universe are described on reduce_end_reversible_*.
+    """
+    dicot = u is Universe.DICOT
+    # options reverting through an end their owner is left in, each once
+    hits = {side: list(dict.fromkeys(a for a, b in _reversions(g, side, u)
+                                     if not _options(b, side)))
+            for side in _SIDES}
+    if all(hits[side] and len(_options(g, side)) == 1 for side in _SIDES):
+        return (RULE_STAR_PAIR_TO_ZERO if dicot else RULE_END_PAIR_REMOVE,
+                "LR", core.zero())
+    for side in _SIDES:
+        for a in hits[side]:
+            rest = [x for x in _options(g, side) if x != a]
+            if dicot:
+                reply = outcomes.right_result if side == "L" \
+                    else outcomes.left_result
+                if any(reply(x) == Result[side] for x in rest):
+                    return RULE_END_REMOVE, side, _replace(g, side, rest)
+                target = core.star()
+            else:
+                removed = _replace(g, side, rest)
+                if core.is_dead_ending(removed) and \
+                        not _is_fundamental(g, a, side):
+                    return RULE_END_REMOVE, side, removed
+                target = _replace(core.zero(), _OTHER[side],
+                                  (_least_murder(g, side)[1],))
+            if a != target:
+                return (RULE_SUBSTITUTE_STAR if dicot else RULE_SUBSTITUTE_MURDER,
+                        side, _replace(g, side, rest + [target]))
+    return None, None, g
 
 
 def reduce_end_reversible_dicot(g: GameId) -> GameId:
@@ -241,26 +258,8 @@ def reduce_end_reversible_dicot(g: GameId) -> GameId:
     winning move among the siblings, and replaced by star when it was
     the only winning move.
     """
-    u = Universe.DICOT
-    core.require_member(g, u)
-    left_hits = _end_reversible_left(g, u)
-    right_hits = _end_reversible_right(g, u)
-    gl = core.left_options(g)
-    gr = core.right_options(g)
-    if len(gl) == 1 and len(gr) == 1 and left_hits and right_hits:
-        return core.zero()
-    star = core.star()
-    for a, _ in left_hits:
-        if _has_other_winning_left(g, a):
-            return core.mk_game([x for x in gl if x != a], gr)
-        if a != star:
-            return core.mk_game([x for x in gl if x != a] + [star], gr)
-    for a, _ in right_hits:
-        if _has_other_winning_right(g, a):
-            return core.mk_game(gl, [x for x in gr if x != a])
-        if a != star:
-            return core.mk_game(gl, [x for x in gr if x != a] + [star])
-    return g
+    core.require_member(g, Universe.DICOT)
+    return _end_step(g, Universe.DICOT)[2]
 
 
 def reduce_end_reversible_dead_ending(g: GameId) -> GameId:
@@ -271,85 +270,26 @@ def reduce_end_reversible_dead_ending(g: GameId) -> GameId:
     removed when the result stays dead-ending; otherwise the option is
     replaced by the one-move end over the least murder the game covers.
     """
-    u = Universe.DEAD_ENDING
-    core.require_member(g, u)
-    left_hits = _end_reversible_left(g, u)
-    right_hits = _end_reversible_right(g, u)
-    gl = core.left_options(g)
-    gr = core.right_options(g)
-    if len(gl) == 1 and len(gr) == 1 and left_hits and right_hits:
-        return core.zero()
-    for a, _ in left_hits:
-        removed = core.mk_game([x for x in gl if x != a], gr)
-        if core.is_dead_ending(removed) and not is_fundamental_left(g, a):
-            return removed
-        target = core.mk_game((), (core.murder(minimal_murder_index(g)),))
-        if a != target:
-            return core.mk_game([x for x in gl if x != a] + [target], gr)
-    for a, _ in right_hits:
-        removed = core.mk_game(gl, [x for x in gr if x != a])
-        if core.is_dead_ending(removed) and not is_fundamental_right(g, a):
-            return removed
-        n = minimal_murder_index(core.conjugate(g))
-        target = core.mk_game((core.conjugate(core.murder(n)),), ())
-        if a != target:
-            return core.mk_game(gl, [x for x in gr if x != a] + [target])
-    return g
+    core.require_member(g, Universe.DEAD_ENDING)
+    return _end_step(g, Universe.DEAD_ENDING)[2]
 
 
 _PASS_CAP = 1000
 
 
-def _reduce_once(g: GameId, u: Universe, trace) -> GameId:
-    """Apply the first applicable rewrite at the top level, if any."""
-    left_kept = _keep_maximal(core.left_options(g), u)
-    if len(left_kept) < len(core.left_options(g)):
-        nxt = core.mk_game(left_kept, core.right_options(g))
-        if trace is not None:
-            trace.append(ReductionStep(RULE_DOMINATION, "L", g, nxt))
-        return nxt
-    right_kept = _keep_minimal(core.right_options(g), u)
-    if len(right_kept) < len(core.right_options(g)):
-        nxt = core.mk_game(core.left_options(g), right_kept)
-        if trace is not None:
-            trace.append(ReductionStep(RULE_DOMINATION, "R", g, nxt))
-        return nxt
-    for side in ("L", "R"):
-        opts = core.left_options(g) if side == "L" else core.right_options(g)
-        for a in opts:
-            for b in _reversing_options(g, a, side, u):
-                repl = core.left_options(b) if side == "L" else core.right_options(b)
-                if repl:
-                    nxt = _splice(g, a, b, side)
-                    if trace is not None:
-                        trace.append(ReductionStep(
-                            RULE_OPEN_REVERSIBLE, side, g, nxt))
-                    return nxt
-    if u is Universe.DICOT:
-        nxt = reduce_end_reversible_dicot(g)
-    else:
-        nxt = reduce_end_reversible_dead_ending(g)
-    if nxt != g and trace is not None:
-        trace.append(ReductionStep(_end_rule_name(g, nxt, u), _end_rule_side(g, nxt), g, nxt))
-    return nxt
+def _reduce_once(g: GameId, u: Universe) -> tuple:
+    """The first applicable top-level rewrite as (rule, side, result).
 
-
-def _end_rule_name(before: GameId, after: GameId, u: Universe) -> str:
-    if after == core.zero() and core.rank(before) > 0:
-        return RULE_STAR_PAIR_TO_ZERO if u is Universe.DICOT else RULE_END_PAIR_REMOVE
-    bl, br = core.left_options(before), core.right_options(before)
-    al, ar = core.left_options(after), core.right_options(after)
-    if len(al) < len(bl) or len(ar) < len(br):
-        return RULE_END_REMOVE
-    return RULE_SUBSTITUTE_STAR if u is Universe.DICOT else RULE_SUBSTITUTE_MURDER
-
-
-def _end_rule_side(before: GameId, after: GameId) -> str:
-    if after == core.zero():
-        return "LR"
-    if core.left_options(before) != core.left_options(after):
-        return "L"
-    return "R"
+    Domination goes first, then open reversibility, Left before Right in
+    each, then the end rules; the result is g itself when none applies.
+    """
+    for rule, step in ((RULE_DOMINATION, _undominated),
+                       (RULE_OPEN_REVERSIBLE, _bypass_first_open)):
+        for side in _SIDES:
+            nxt = step(g, side, u)
+            if nxt != g:
+                return rule, side, nxt
+    return _end_step(g, u)
 
 
 _CANON: dict = {}
@@ -382,9 +322,11 @@ def _canonical(g: GameId, u: Universe, trace) -> GameId:
     right = [_canonical(x, u, trace) for x in core.right_options(g)]
     cur = core.mk_game(left, right)
     for _ in range(_PASS_CAP):
-        nxt = _reduce_once(cur, u, trace)
+        rule, side, nxt = _reduce_once(cur, u)
         if nxt == cur:
             break
+        if trace is not None:
+            trace.append(ReductionStep(rule, side, cur, nxt))
         cur = nxt
     else:
         raise RuntimeError("reduction did not reach a fixpoint within %d passes"

@@ -4,14 +4,16 @@ Subcommands parse games from the notation grammar, compute outcomes and
 canonical forms, compare and distinguish games relative to a universe,
 enumerate slices, and run the built-in verification scans.
 
-Exit codes: 0 success, 1 verification found violations, 2 usage error,
-3 notation error, 4 domain error (wrong universe, bad precondition),
-5 resource cap exceeded.
+Exit codes: 0 success, 1 verification found violations, 2 usage error
+(including a rank below 0, fewer than one option, and budget flags on
+a scan with a fixed budget), 3 notation error, 4 domain error (wrong
+universe, bad precondition), 5 resource cap exceeded.
 
 Default enumeration budgets may be overridden with the environment
 variables MISERE_MAX_RANK and MISERE_MAX_OPTIONS; explicit flags win
 over the environment, which wins over the built-in defaults (rank 2,
-four options per side).
+four options per side).  The murders and ends scans have fixed budgets
+and ignore the environment.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ EXIT_DOMAIN = 4
 EXIT_RESOURCE = 5
 
 
+class UsageError(Exception):
+    """Arguments that parse but cannot be honoured."""
+
+
 def _universe(name: str) -> Universe:
     if name == "dicot":
         return Universe.DICOT
@@ -53,14 +59,18 @@ def _env_int(name: str, fallback: int) -> int:
         raise DomainError("%s must be an integer, got %r" % (name, raw))
 
 
+def _budget_value(given, flag: str, env: str, default: int, least: int) -> int:
+    value, source = given, flag
+    if given is None:
+        value, source = _env_int(env, default), env
+    if value < least:
+        raise UsageError("%s must be at least %d, got %d" % (source, least, value))
+    return value
+
+
 def _resolve_budget(args) -> tuple:
-    max_rank = args.max_rank
-    if max_rank is None:
-        max_rank = _env_int(ENV_MAX_RANK, 2)
-    max_options = args.max_options
-    if max_options is None:
-        max_options = _env_int(ENV_MAX_OPTIONS, 4)
-    return max_rank, max_options
+    return (_budget_value(args.max_rank, "--max-rank", ENV_MAX_RANK, 2, 0),
+            _budget_value(args.max_options, "--max-options", ENV_MAX_OPTIONS, 4, 1))
 
 
 def _emit(args, doc: dict, text: str) -> None:
@@ -198,10 +208,15 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     target = args.target
+    if target in ("murders", "ends") and \
+            (args.max_rank is not None or args.max_options is not None):
+        raise UsageError("verify %s has a fixed budget; --max-rank and "
+                         "--max-options do not apply" % target)
     if target == "murders":
         report = lab.scan_murder_theorems()
     elif target == "conjugate":
-        report = lab.scan_conjugate_property(_universe(args.universe))
+        report = lab.scan_conjugate_property(_universe(args.universe),
+                                             *_resolve_budget(args))
     elif target == "uniqueness":
         u = _universe(args.universe)
         max_rank, max_options = _resolve_budget(args)
@@ -211,7 +226,8 @@ def cmd_verify(args) -> int:
     elif target == "ends":
         report = lab.scan_end_invertibility()
     elif target == "embedding":
-        report = lab.scan_normal_embedding(_universe(args.universe))
+        report = lab.scan_normal_embedding(_universe(args.universe),
+                                           *_resolve_budget(args))
     else:
         raise DomainError("unknown verification target %r" % target)
     _emit(args, report.to_doc(), report.render_text())
@@ -324,6 +340,9 @@ def main(argv=None) -> int:
     except ResourceError as e:
         sys.stderr.write("resource cap: %s\n" % e)
         return EXIT_RESOURCE
+    except UsageError as e:
+        sys.stderr.write("usage error: %s\n" % e)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

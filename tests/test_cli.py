@@ -157,3 +157,34 @@ def test_installed_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "P\n"
+
+
+@pytest.mark.parametrize("target", ["conjugate", "embedding"])
+def test_verify_scans_honour_budget_flags(capsys, target):
+    code, out, _ = run(capsys, "verify", target, "--max-rank", "1",
+                       "--max-options", "1", "--format", "structured")
+    assert code == 0
+    # 0, {0|}, {|0} and {0|0}, not the 232 games of the default slice
+    assert json.loads(out)["counts"]["games"] == 4
+
+
+@pytest.mark.parametrize("target", ["murders", "ends"])
+@pytest.mark.parametrize("flag", ["--max-rank", "--max-options"])
+def test_fixed_budget_scans_refuse_budget_flags(capsys, target, flag):
+    code, out, err = run(capsys, "verify", target, flag, "1")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "fixed budget" in err
+
+
+def test_out_of_range_budgets_are_usage_errors(capsys, monkeypatch):
+    code, out, err = run(capsys, "enumerate", "--universe", "dicot",
+                         "--max-options", "0")
+    assert (code, out) == (2, "") and "--max-options" in err
+    code, out, err = run(capsys, "distinguish", "0", "1",
+                         "--universe", "dead-ending", "--max-rank", "-1")
+    assert (code, out) == (2, "") and "--max-rank" in err
+    monkeypatch.setenv(cli.ENV_MAX_RANK, "-3")
+    code, out, err = run(capsys, "verify", "uniqueness")
+    assert (code, out) == (2, "") and cli.ENV_MAX_RANK in err
+    assert "Traceback" not in err
