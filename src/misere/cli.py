@@ -5,15 +5,16 @@ canonical forms, compare and distinguish games relative to a universe,
 enumerate slices, and run the built-in verification scans.
 
 Exit codes: 0 success, 1 verification found violations, 2 usage error
-(including a rank below 0, fewer than one option, and budget flags on
-a scan with a fixed budget), 3 notation error, 4 domain error (wrong
-universe, bad precondition), 5 resource cap exceeded.
+(including a rank below 0, fewer than one option, a budget variable that
+is not an integer, and budget or universe flags on a scan with a fixed
+budget and universe), 3 notation error, 4 domain error (wrong universe,
+bad precondition), 5 resource cap exceeded.
 
 Default enumeration budgets may be overridden with the environment
 variables MISERE_MAX_RANK and MISERE_MAX_OPTIONS; explicit flags win
 over the environment, which wins over the built-in defaults (rank 2,
-four options per side).  The murders and ends scans have fixed budgets
-and ignore the environment.
+four options per side).  The murders and ends scans have fixed budgets,
+always scan the dead-ending universe, and ignore the environment.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _env_int(name: str, fallback: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise DomainError("%s must be an integer, got %r" % (name, raw))
+        raise UsageError("%s must be an integer, got %r" % (name, raw)) from None
 
 
 def _budget_value(given, flag: str, env: str, default: int, least: int) -> int:
@@ -208,10 +209,15 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     target = args.target
-    if target in ("murders", "ends") and \
-            (args.max_rank is not None or args.max_options is not None):
-        raise UsageError("verify %s has a fixed budget; --max-rank and "
-                         "--max-options do not apply" % target)
+    if target in ("murders", "ends"):
+        if args.max_rank is not None or args.max_options is not None:
+            raise UsageError("verify %s has a fixed budget; --max-rank and "
+                             "--max-options do not apply" % target)
+        if args.universe is not None:
+            raise UsageError("verify %s always scans the dead-ending "
+                             "universe; --universe does not apply" % target)
+    elif args.universe is None:
+        args.universe = "dead-ending"
     if target == "murders":
         report = lab.scan_murder_theorems()
     elif target == "conjugate":
@@ -313,8 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target",
                    choices=("murders", "conjugate", "uniqueness", "ends",
                             "embedding"))
-    p.add_argument("--universe", default="dead-ending",
-                   choices=("dicot", "dead-ending"))
+    p.add_argument("--universe", default=None,
+                   choices=("dicot", "dead-ending"),
+                   help="default dead-ending; murders and ends refuse it")
     p.add_argument("--seed", type=int, default=lab.DEFAULT_SEED)
     budgeted(p)
     common(p)

@@ -6,10 +6,17 @@ cap and a universe filter.  The candidate count is computed up front and
 refused when it exceeds the node cap, because the number of forms grows
 doubly exponentially with rank.  Everything here is deterministic: slices
 come out in structural order and sampling uses an explicit seed.
+
+The dead-end sets are enumerated once per budget and cached; each call
+still returns a fresh list.  Checks that only ask who wins a sum, the
+brute-force strong outcomes among them, evaluate it on the pair of
+summands (``outcomes.sum_left_result`` and siblings) instead of interning
+it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -84,9 +91,9 @@ def enumerate_games(budget: EnumerationBudget) -> list:
     return sorted(accepted, key=core.structural_key)
 
 
-def enumerate_dead_left_ends(max_rank: int, max_options: Optional[int] = None,
-                             node_cap: int = DEFAULT_NODE_CAP) -> list:
-    """Every dead Left-end of rank <= max_rank under the option cap."""
+@functools.lru_cache(maxsize=None)
+def _dead_left_ends(max_rank: int, max_options: Optional[int],
+                    node_cap: int) -> tuple:
     accepted = [core.zero()]
     for r in range(1, max_rank + 1):
         pool = sorted(accepted, key=core.structural_key)
@@ -99,13 +106,25 @@ def enumerate_dead_left_ends(max_rank: int, max_options: Optional[int] = None,
             if s and max(core.rank(g) for g in s) == r - 1:
                 fresh.append(core.mk_game((), s))
         accepted.extend(fresh)
-    return sorted(accepted, key=core.structural_key)
+    return tuple(sorted(accepted, key=core.structural_key))
+
+
+@functools.lru_cache(maxsize=None)
+def _dead_right_ends(max_rank: int, max_options: Optional[int],
+                     node_cap: int) -> tuple:
+    ends = _dead_left_ends(max_rank, max_options, node_cap)
+    return tuple(sorted((core.conjugate(g) for g in ends), key=core.structural_key))
+
+
+def enumerate_dead_left_ends(max_rank: int, max_options: Optional[int] = None,
+                             node_cap: int = DEFAULT_NODE_CAP) -> list:
+    """Every dead Left-end of rank <= max_rank under the option cap."""
+    return list(_dead_left_ends(max_rank, max_options, node_cap))
 
 
 def enumerate_dead_right_ends(max_rank: int, max_options: Optional[int] = None,
                               node_cap: int = DEFAULT_NODE_CAP) -> list:
-    ends = enumerate_dead_left_ends(max_rank, max_options, node_cap)
-    return sorted((core.conjugate(g) for g in ends), key=core.structural_key)
+    return list(_dead_right_ends(max_rank, max_options, node_cap))
 
 
 def enumerate_dead_ends(max_rank: int, max_options: Optional[int] = None) -> list:
@@ -125,7 +144,7 @@ def brute_strong_left(g: GameId, max_end_rank: Optional[int] = None,
     core.require_member(g, Universe.DEAD_ENDING)
     bound = core.rank(g) + 1 if max_end_rank is None else max_end_rank
     ends = enumerate_dead_left_ends(bound, max_options)
-    return min(outcomes.left_result(core.add(g, x)) for x in ends)
+    return min(outcomes.sum_left_result(g, x) for x in ends)
 
 
 def brute_strong_right(g: GameId, max_end_rank: Optional[int] = None,
@@ -133,7 +152,7 @@ def brute_strong_right(g: GameId, max_end_rank: Optional[int] = None,
     core.require_member(g, Universe.DEAD_ENDING)
     bound = core.rank(g) + 1 if max_end_rank is None else max_end_rank
     ends = enumerate_dead_right_ends(bound, max_options)
-    return max(outcomes.right_result(core.add(g, x)) for x in ends)
+    return max(outcomes.sum_right_result(g, x) for x in ends)
 
 
 def sample_rank3_games(universe: Universe, max_options: int = 2,
@@ -373,11 +392,10 @@ def scan_conjugate_property(universe: Universe, max_rank: int = 2,
     impartial_pairs = 0
     for i, g in enumerate(games):
         for h in games[i:]:
-            s = core.add(g, h)
-            if outcomes.outcome(s) != Outcome.N:
+            if outcomes.sum_outcome(g, h) != Outcome.N:
                 continue
             checked += 1
-            if not ordering.equivalent(s, zero, u):
+            if not ordering.equivalent(core.add(g, h), zero, u):
                 continue
             inverse_pairs += 1
             if core.is_impartial(g) and core.is_impartial(h):
@@ -523,10 +541,10 @@ def scan_weak_avoidance(universe: Universe = Universe.DEAD_ENDING,
         for a in end_reversible:
             for x in xs:
                 checked += 1
-                if outcomes.right_result(core.add(a, x)) != Result.L:
+                if outcomes.sum_right_result(a, x) != Result.L:
                     continue
                 applicable += 1
-                if not any(outcomes.right_result(core.add(g, xl)) == Result.L
+                if not any(outcomes.sum_right_result(g, xl) == Result.L
                            for xl in core.left_options(x)):
                     violations.append(
                         "%s wins via %s against %s with no move in the "

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 from . import core, outcomes
 from .core import DomainError, GameId, Universe
-from .outcomes import Result, outcome, outcome_ge
+from .outcomes import Result, outcome_ge, sum_outcome
 
 _GE: dict = {}
 
@@ -74,8 +74,7 @@ def equivalent(g: GameId, h: GameId, u: Universe) -> bool:
 
 def ge_normal(g: GameId, h: GameId) -> bool:
     """Normal-play comparison: Left playing second wins g plus conjugate(h)."""
-    diff = core.add(g, core.conjugate(h))
-    return outcomes.normal_right_result(diff) == Result.L
+    return outcomes.normal_sum_right_result(g, core.conjugate(h)) == Result.L
 
 
 def definitional_ge_check(g: GameId, h: GameId, u: Universe,
@@ -87,7 +86,7 @@ def definitional_ge_check(g: GameId, h: GameId, u: Universe,
     """
     for x in test_set:
         core.require_member(x, u)
-        if not outcome_ge(outcome(core.add(g, x)), outcome(core.add(h, x))):
+        if not outcome_ge(sum_outcome(g, x), sum_outcome(h, x)):
             return False
     return True
 
@@ -124,7 +123,7 @@ def distinguish(g: GameId, h: GameId, u: Universe,
     slice_budget = lab.EnumerationBudget(max_rank=max_rank,
                                          max_options=max_options, universe=u)
     for x in lab.enumerate_games(slice_budget):
-        if outcome(core.add(g, x)) != outcome(core.add(h, x)):
+        if sum_outcome(g, x) != sum_outcome(h, x):
             return Distinguisher(Distinguisher.FAILS, x, budget)
     if equivalent(g, h, u):
         return Distinguisher(Distinguisher.HOLDS, None, budget)

@@ -11,6 +11,13 @@ Each recursion is written once, with the convention or the side as a
 parameter: one factory binds the Left-first and Right-first functions of
 each convention, and one helper computes both sides of a strong outcome.
 
+The results of a sum g + h are evaluated on the pair of ids (g, h), so a
+sum is never built in the intern table just to be evaluated; callers
+that only ask who wins a sum use ``sum_left_result`` and its siblings.
+The closed-form strong outcome below stays on the interned ``core.add``,
+so the brute-force oracle in ``lab``, which plays every dead end on
+pairs, checks it against an independent implementation.
+
 Strong outcomes refine misère outcomes for dead-ending games: they ask
 who wins when an arbitrary dead end is placed alongside the game.  The
 pessimal attack for each player is realized by a murder of rank one less
@@ -56,14 +63,20 @@ def outcome_ge(a: Outcome, b: Outcome) -> bool:
     return a.left >= b.left and a.right >= b.right
 
 
-def _convention(at_left_end: Result, left_memo: dict, right_memo: dict):
-    """The Left-first and Right-first result functions of one convention.
+def _convention(at_left_end: Result, left_memo: dict, right_memo: dict,
+                sum_left_memo: dict, sum_right_memo: dict):
+    """The Left-first and Right-first result functions of one convention,
+    of a single game and of a sum g + h given as the pair (g, h).
 
     at_left_end is the result when Left has no move on Left's turn (L
     under misère play, R under normal play); a Right-end gives the other.
     Binding the closures once keeps side arguments out of the recursion.
+    A sum is never interned: its options are the pairs (gᴸ, h) and
+    (g, hᴸ), its results are memoised per unordered pair, and a pair with
+    an empty component is the other component on its own.
     """
     at_right_end = Result(1 - at_left_end)
+    zero = core.zero()
 
     def left(g: GameId) -> Result:
         r = left_memo.get(g)
@@ -81,16 +94,70 @@ def _convention(at_left_end: Result, left_memo: dict, right_memo: dict):
             right_memo[g] = r
         return r
 
-    return left, right
+    def sum_left(g: GameId, h: GameId) -> Result:
+        if g == zero:
+            return left(h)
+        if h == zero:
+            return left(g)
+        key = (g, h) if g < h else (h, g)
+        r = sum_left_memo.get(key)
+        if r is None:
+            gl = core.left_options(g)
+            hl = core.left_options(h)
+            r = Result.R if gl or hl else at_left_end
+            # Loops rather than any(): the first win settles it, and no
+            # generator frame is added per move of a long sum.
+            for x in gl:
+                if sum_right(x, h) is Result.L:
+                    r = Result.L
+                    break
+            else:
+                for y in hl:
+                    if sum_right(g, y) is Result.L:
+                        r = Result.L
+                        break
+            sum_left_memo[key] = r
+        return r
+
+    def sum_right(g: GameId, h: GameId) -> Result:
+        if g == zero:
+            return right(h)
+        if h == zero:
+            return right(g)
+        key = (g, h) if g < h else (h, g)
+        r = sum_right_memo.get(key)
+        if r is None:
+            gr = core.right_options(g)
+            hr = core.right_options(h)
+            r = Result.L if gr or hr else at_right_end
+            for x in gr:
+                if sum_left(x, h) is Result.R:
+                    r = Result.R
+                    break
+            else:
+                for y in hr:
+                    if sum_left(g, y) is Result.R:
+                        r = Result.R
+                        break
+            sum_right_memo[key] = r
+        return r
+
+    return left, right, sum_left, sum_right
 
 
 _MIS_L: dict = {}
 _MIS_R: dict = {}
-_mis_left, _mis_right = _convention(Result.L, _MIS_L, _MIS_R)
+_MIS_SUM_L: dict = {}
+_MIS_SUM_R: dict = {}
+_mis_left, _mis_right, _mis_sum_left, _mis_sum_right = _convention(
+    Result.L, _MIS_L, _MIS_R, _MIS_SUM_L, _MIS_SUM_R)
 
 _NOR_L: dict = {}
 _NOR_R: dict = {}
-_nor_left, _nor_right = _convention(Result.R, _NOR_L, _NOR_R)
+_NOR_SUM_L: dict = {}
+_NOR_SUM_R: dict = {}
+_nor_left, _nor_right, _nor_sum_left, _nor_sum_right = _convention(
+    Result.R, _NOR_L, _NOR_R, _NOR_SUM_L, _NOR_SUM_R)
 
 
 def left_result(g: GameId) -> Result:
@@ -121,6 +188,31 @@ def normal_right_result(g: GameId) -> Result:
 def normal_outcome(g: GameId) -> Outcome:
     """Normal-play outcome of g."""
     return Outcome((_nor_left(g), _nor_right(g)))
+
+
+def sum_left_result(g: GameId, h: GameId) -> Result:
+    """left_result(add(g, h)), without interning the sum."""
+    return _mis_sum_left(g, h)
+
+
+def sum_right_result(g: GameId, h: GameId) -> Result:
+    """right_result(add(g, h)), without interning the sum."""
+    return _mis_sum_right(g, h)
+
+
+def sum_outcome(g: GameId, h: GameId) -> Outcome:
+    """outcome(add(g, h)), without interning the sum."""
+    return Outcome((_mis_sum_left(g, h), _mis_sum_right(g, h)))
+
+
+def normal_sum_left_result(g: GameId, h: GameId) -> Result:
+    """normal_left_result(add(g, h)), without interning the sum."""
+    return _nor_sum_left(g, h)
+
+
+def normal_sum_right_result(g: GameId, h: GameId) -> Result:
+    """normal_right_result(add(g, h)), without interning the sum."""
+    return _nor_sum_right(g, h)
 
 
 _STRONG: dict = {}

@@ -188,3 +188,31 @@ def test_out_of_range_budgets_are_usage_errors(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "uniqueness")
     assert (code, out) == (2, "") and cli.ENV_MAX_RANK in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["murders", "ends"])
+@pytest.mark.parametrize("universe", ["dicot", "dead-ending"])
+def test_fixed_universe_scans_refuse_universe_flag(capsys, target, universe):
+    code, out, err = run(capsys, "verify", target, "--universe", universe)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "--universe" in err
+
+
+def test_verify_universe_defaults_to_dead_ending(capsys):
+    code, out, _ = run(capsys, "verify", "conjugate", "--max-rank", "1",
+                       "--max-options", "1", "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["universe"] == "dead-ending"
+    code, out, _ = run(capsys, "verify", "ends")
+    assert code == 0
+    assert out.startswith("scan ends [dead-ending]")
+
+
+@pytest.mark.parametrize("name", [cli.ENV_MAX_RANK, cli.ENV_MAX_OPTIONS])
+def test_non_integer_budget_env_var_is_usage_error(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "abc")
+    code, out, err = run(capsys, "enumerate", "--universe", "dicot")
+    assert (code, out) == (2, "")
+    assert name in err and "integer" in err
+    assert "Traceback" not in err

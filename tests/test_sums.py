@@ -1,0 +1,73 @@
+"""Results of a sum evaluated on the pair of summands, and the cached
+dead-end sets the brute-force strong outcomes play against.
+
+The pair evaluation must agree with the single-game results of the
+interned sum, and the brute-force oracle must no longer intern anything
+once its dead ends exist.
+"""
+
+import pytest
+
+import misere
+from misere import EnumerationBudget, ResourceError, Universe, core, lab, outcomes
+
+D = Universe.DICOT
+E = Universe.DEAD_ENDING
+
+# (pair function, single-game function of the interned sum)
+PAIRED = [
+    (outcomes.sum_left_result, outcomes.left_result),
+    (outcomes.sum_right_result, outcomes.right_result),
+    (outcomes.sum_outcome, outcomes.outcome),
+    (outcomes.normal_sum_left_result, outcomes.normal_left_result),
+    (outcomes.normal_sum_right_result, outcomes.normal_right_result),
+]
+
+
+@pytest.mark.parametrize("pair, single", PAIRED,
+                         ids=[p.__name__ for p, _ in PAIRED])
+def test_pair_results_match_interned_sum(pair, single):
+    # Every ordered pair of the rank-2 dead-ending slice, which holds the
+    # rank-2 dicot slice and 0; pairs of two non-empty dicots never reach
+    # an end of the sum, pairs of dead ends do.
+    dicots = misere.enumerate_games(EnumerationBudget(2, 4, D))
+    dead_ending = misere.enumerate_games(EnumerationBudget(2, 4, E))
+    assert misere.zero() in dicots and set(dicots) <= set(dead_ending)
+    mismatches = [(g, h) for g in dead_ending for h in dead_ending
+                  if pair(g, h) != single(core.add(g, h))]
+    assert mismatches == []
+
+
+def test_pair_results_of_named_sums():
+    one, star = misere.integer(1), misere.star()
+    # misère: Right never has a move in 1 + 1, so Right wins either way
+    assert outcomes.sum_outcome(one, one) == misere.Outcome.R
+    # * + * is N in misère play and P in normal play
+    assert outcomes.sum_outcome(star, star) == misere.Outcome.N
+    assert outcomes.normal_sum_left_result(star, star) == misere.Result.R
+    assert outcomes.normal_sum_right_result(star, star) == misere.Result.L
+
+
+def test_brute_force_strong_outcomes_intern_nothing_once_ends_exist():
+    games = misere.enumerate_games(EnumerationBudget(2, 4, E))
+    for bound in range(1, 4):
+        lab.enumerate_dead_left_ends(bound)
+        lab.enumerate_dead_right_ends(bound)
+    before = len(core._NODES)
+    for g in games:
+        lab.brute_strong_left(g)
+        lab.brute_strong_right(g)
+    assert len(core._NODES) == before
+
+
+@pytest.mark.parametrize("enumerate_ends", [lab.enumerate_dead_left_ends,
+                                            lab.enumerate_dead_right_ends])
+def test_dead_end_sets_are_cached_as_fresh_lists(enumerate_ends):
+    first = enumerate_ends(3)
+    second = enumerate_ends(3)
+    assert first == second
+    assert first is not second
+    first.clear()
+    assert enumerate_ends(3) == second
+    with pytest.raises(ResourceError):
+        enumerate_ends(3, node_cap=1)
