@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import core, ordering, outcomes
-from .core import DomainError, GameId, Universe
+from .core import DomainError, GameId, ResourceError, Universe
 from .outcomes import Result
 
 RULE_DOMINATION = "domination"
@@ -329,8 +329,8 @@ def _canonical(g: GameId, u: Universe, trace) -> GameId:
             trace.append(ReductionStep(rule, side, cur, nxt))
         cur = nxt
     else:
-        raise RuntimeError("reduction did not reach a fixpoint within %d passes"
-                           % _PASS_CAP)
+        raise ResourceError("reduction did not reach a fixpoint within %d passes"
+                            % _PASS_CAP)
     _CANON[key] = cur
     _CANON[(cur, u)] = cur
     return cur

@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 verification found violations, 2 usage error
 (including a rank below 0, fewer than one option, a budget variable that
 is not an integer, and budget or universe flags on a scan with a fixed
 budget and universe), 3 notation error, 4 domain error (wrong universe,
-bad precondition), 5 resource cap exceeded.
+bad precondition), 5 resource cap exceeded (an enumeration or node cap,
+the reduction pass cap, or a game nested deeper than the recursion limit,
+such as ``parse 5000``).
 
 Default enumeration budgets may be overridden with the environment
 variables MISERE_MAX_RANK and MISERE_MAX_OPTIONS; explicit flags win
@@ -346,6 +348,10 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except ResourceError as e:
         sys.stderr.write("resource cap: %s\n" % e)
+        return EXIT_RESOURCE
+    except RecursionError as e:
+        sys.stderr.write("resource cap: game nests deeper than the recursion "
+                         "limit (%s)\n" % e)
         return EXIT_RESOURCE
     except UsageError as e:
         sys.stderr.write("usage error: %s\n" % e)

@@ -280,10 +280,22 @@ def census(budget: Optional[EnumerationBudget] = None, *,
            sample_pairs: Optional[int] = 2000) -> CensusReport:
     """Bucket a slice by canonical form and cross-validate the buckets.
 
-    Bucketing uses canonical ids; validation replays pairwise
-    equivalence, on every pair when sample_pairs is None and on a seeded
-    sample otherwise.  Any disagreement lands in the violations list.
+    Bucketing uses canonical ids, computed once per game; validation
+    replays pairwise equivalence, on every pair when sample_pairs is None
+    or at least the number of pairs, and on a seeded sample of
+    sample_pairs pairs otherwise.  Any disagreement lands in the
+    violations list.
+
+    Invertibility is decided once per class, as c + conjugate(c)
+    equivalent to 0 for the class's canonical form c.  By the conjugate
+    property a game of the universe that has an inverse has its conjugate
+    as that inverse, so g is invertible exactly when g + conjugate(g) is
+    equivalent to 0.  Equivalence is a congruence for + that commutes with
+    conjugation (the universe is closed under both), so every game of a
+    class gets its class's answer.
     """
+    if sample_pairs is not None and sample_pairs < 0:
+        raise ValueError("sample_pairs must be at least 0, got %d" % sample_pairs)
     if games is None:
         if budget is None or budget.universe is None:
             raise DomainError("census needs a universe-filtered budget or "
@@ -294,16 +306,17 @@ def census(budget: Optional[EnumerationBudget] = None, *,
         raise DomainError("census over an explicit game list needs a universe")
     games = sorted(set(games), key=core.structural_key)
     u = universe
+    canon = {g: canonical.canonical_form(g, u) for g in games}
     buckets: dict = {}
-    for g in games:
-        buckets.setdefault(canonical.canonical_form(g, u), []).append(g)
+    for g, c in canon.items():
+        buckets.setdefault(c, []).append(g)
     violations = []
     pairs_checked = 0
 
     def check(a: GameId, b: GameId):
         nonlocal pairs_checked
         pairs_checked += 1
-        same_bucket = canonical.canonical_form(a, u) == canonical.canonical_form(b, u)
+        same_bucket = canon[a] == canon[b]
         equiv = ordering.equivalent(a, b, u)
         if same_bucket != equiv:
             violations.append(
@@ -325,9 +338,10 @@ def census(budget: Optional[EnumerationBudget] = None, *,
             if j >= i:
                 j += 1
             check(games[i], games[j])
-    invertible = tuple(
-        g for g in games
-        if canonical.canonical_form(core.add(g, core.conjugate(g)), u) == core.zero())
+    invertible_classes = {
+        c for c in buckets
+        if ordering.equivalent(core.add(c, core.conjugate(c)), core.zero(), u)}
+    invertible = tuple(g for g in games if canon[g] in invertible_classes)
     return CensusReport(
         universe=u.value,
         total=n,

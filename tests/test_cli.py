@@ -216,3 +216,22 @@ def test_non_integer_budget_env_var_is_usage_error(capsys, monkeypatch, name):
     assert (code, out) == (2, "")
     assert name in err and "integer" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["parse", "5000"],
+                                  ["reduce", "--universe", "dead-ending", "5000"]])
+def test_games_deeper_than_the_recursion_limit_exit_5(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (5, "")
+    assert len(err.splitlines()) == 1 and "recursion" in err
+    assert "Traceback" not in err
+
+
+def test_reduction_pass_cap_exits_5(capsys, monkeypatch):
+    from misere import canonical
+
+    monkeypatch.setattr(canonical, "_PASS_CAP", 0)
+    monkeypatch.setattr(canonical, "_CANON", {})
+    code, out, err = run(capsys, "reduce", "--universe", "dicot", "{*|0}")
+    assert (code, out) == (5, "")
+    assert len(err.splitlines()) == 1 and "fixpoint" in err

@@ -168,3 +168,51 @@ def test_scan_report_rendering():
     assert doc["violations"] == []
     bad = misere.ScanReport("demo", None, 1, ("boom",))
     assert not bad.ok
+
+
+def _invertible_by_definition(games, u):
+    """The games g whose g + conjugate(g) reduces to 0, one game at a time."""
+    return [g for g in games
+            if misere.canonical_form(misere.add(g, misere.conjugate(g)), u)
+            == misere.zero()]
+
+
+def _rank3_sample(u):
+    return misere.sample_rank3_games(u, max_options=2, count=100,
+                                     seed=misere.DEFAULT_SEED)
+
+
+@pytest.mark.parametrize("u", [D, E])
+def test_census_invertibility_matches_definition_on_rank_two(u):
+    budget = EnumerationBudget(2, 4, u)
+    rep = misere.census(budget, sample_pairs=0)
+    assert list(rep.invertible) == _invertible_by_definition(
+        misere.enumerate_games(budget), u)
+
+
+@pytest.mark.parametrize("u", [D, E])
+def test_census_invertibility_matches_definition_on_rank_three_sample(u):
+    games = _rank3_sample(u)
+    rep = misere.census(games=games, universe=u, sample_pairs=0)
+    assert len(rep.invertible) > 0
+    assert list(rep.invertible) == _invertible_by_definition(games, u)
+
+
+@pytest.mark.parametrize("u", [D, E])
+def test_census_invertibility_is_constant_on_buckets(u):
+    games = set(misere.enumerate_games(EnumerationBudget(2, 4, u)) + _rank3_sample(u))
+    rep = misere.census(games=games, universe=u, sample_pairs=0)
+    buckets: dict = {}
+    for g in games:
+        buckets.setdefault(misere.canonical_form(g, u), []).append(g)
+    assert len(buckets) == rep.class_count
+    assert any(len(b) > 1 for b in buckets.values())
+    invertible = set(rep.invertible)
+    for bucket in buckets.values():
+        assert len({g in invertible for g in bucket}) == 1
+
+
+def test_census_refuses_negative_sample_pairs():
+    with pytest.raises(ValueError):
+        misere.census(EnumerationBudget(2, 4, D), sample_pairs=-5)
+    assert misere.census(EnumerationBudget(2, 4, D), sample_pairs=0).pairs_checked == 0
