@@ -6,11 +6,12 @@ enumerate slices, and run the built-in verification scans.
 
 Exit codes: 0 success, 1 verification found violations, 2 usage error
 (including a rank below 0, fewer than one option, a budget variable that
-is not an integer, and budget or universe flags on a scan with a fixed
-budget and universe), 3 notation error, 4 domain error (wrong universe,
-bad precondition), 5 resource cap exceeded (an enumeration or node cap,
-the reduction pass cap, or a game nested deeper than the recursion limit,
-such as ``parse 5000``).
+is not an integer, budget or universe flags on a scan with a fixed
+budget and universe, and ``--seed`` on a scan that draws no sample,
+which is every verify target but uniqueness), 3 notation error, 4 domain
+error (wrong universe, bad precondition), 5 resource cap exceeded (an
+enumeration or node cap, the reduction pass cap, or a game nested deeper
+than the recursion limit, such as ``parse 5000``).
 
 Default enumeration budgets may be overridden with the environment
 variables MISERE_MAX_RANK and MISERE_MAX_OPTIONS; explicit flags win
@@ -211,6 +212,9 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     target = args.target
+    if target != "uniqueness" and args.seed is not None:
+        raise UsageError("verify %s draws no sample; --seed does not apply"
+                         % target)
     if target in ("murders", "ends"):
         if args.max_rank is not None or args.max_options is not None:
             raise UsageError("verify %s has a fixed budget; --max-rank and "
@@ -230,7 +234,8 @@ def cmd_verify(args) -> int:
         max_rank, max_options = _resolve_budget(args)
         budget = lab.EnumerationBudget(max_rank=max_rank,
                                        max_options=max_options, universe=u)
-        report = lab.census(budget, seed=args.seed)
+        seed = lab.DEFAULT_SEED if args.seed is None else args.seed
+        report = lab.census(budget, seed=seed)
     elif target == "ends":
         report = lab.scan_end_invertibility()
     elif target == "embedding":
@@ -324,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--universe", default=None,
                    choices=("dicot", "dead-ending"),
                    help="default dead-ending; murders and ends refuse it")
-    p.add_argument("--seed", type=int, default=lab.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None,
+                   help="default %d; only uniqueness samples, the other "
+                        "targets refuse it" % lab.DEFAULT_SEED)
     budgeted(p)
     common(p)
     p.set_defaults(func=cmd_verify)

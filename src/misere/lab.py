@@ -574,7 +574,12 @@ def scan_normal_embedding(universe: Universe, max_rank: int = 2,
                           max_options: int = 4,
                           sample_pairs: Optional[int] = None,
                           seed: int = DEFAULT_SEED) -> ScanReport:
-    """Universe-relative comparison must imply normal-play comparison."""
+    """Universe-relative comparison must imply normal-play comparison.
+
+    Checks every ordered pair of the slice when sample_pairs is None, and
+    the report's seed is then None; otherwise checks sample_pairs pairs
+    drawn with the seed.
+    """
     u = universe
     games = enumerate_games(EnumerationBudget(max_rank, max_options, u))
     violations = []
@@ -595,4 +600,5 @@ def scan_normal_embedding(universe: Universe, max_rank: int = 2,
                     "%s >= %s in %s but not under normal play" % (
                         notation.print_game(g), notation.print_game(h), u.value))
     return ScanReport("embedding", u.value, checked, tuple(violations),
-                      {"games": len(games), "ge_true": ge_true}, seed)
+                      {"games": len(games), "ge_true": ge_true},
+                      None if sample_pairs is None else seed)

@@ -18,7 +18,8 @@ from typing import Iterable, Optional
 
 from . import core, outcomes
 from .core import DomainError, GameId, Universe
-from .outcomes import Result, outcome_ge, sum_outcome
+from .outcomes import (Result, outcome_ge, sum_left_result, sum_outcome,
+                       sum_right_result)
 
 _GE: dict = {}
 
@@ -86,7 +87,9 @@ def definitional_ge_check(g: GameId, h: GameId, u: Universe,
     """
     for x in test_set:
         core.require_member(x, u)
-        if not outcome_ge(sum_outcome(g, x), sum_outcome(h, x)):
+        # outcome_ge on the two sum outcomes, read off the results.
+        if (sum_left_result(g, x) < sum_left_result(h, x)
+                or sum_right_result(g, x) < sum_right_result(h, x)):
             return False
     return True
 

@@ -9,14 +9,16 @@ for Left (L on top, R at the bottom, N and P incomparable).
 
 Each recursion is written once, with the convention or the side as a
 parameter: one factory binds the Left-first and Right-first functions of
-each convention, and one helper computes both sides of a strong outcome.
+each convention, and ``strong_outcome`` computes both of its sides
+together from them.
 
 The results of a sum g + h are evaluated on the pair of ids (g, h), so a
 sum is never built in the intern table just to be evaluated; callers
 that only ask who wins a sum use ``sum_left_result`` and its siblings.
-The closed-form strong outcome below stays on the interned ``core.add``,
-so the brute-force oracle in ``lab``, which plays every dead end on
-pairs, checks it against an independent implementation.
+The closed-form strong outcome below does so too.  It is checked against
+two other implementations: the brute force in ``lab``, which plays every
+dead end up to a rank bound on pairs, and the frozenset reference in the
+tests, which builds each sum explicitly.
 
 Strong outcomes refine misère outcomes for dead-ending games: they ask
 who wins when an arbitrary dead end is placed alongside the game.  The
@@ -218,18 +220,13 @@ def normal_sum_right_result(g: GameId, h: GameId) -> Result:
 _STRONG: dict = {}
 
 
-def _strong_side(g: GameId, attack: GameId, result, worst) -> Result:
-    """The worse of result(g) and result(g + attack) for the first player."""
-    return worst(result(g), result(core.add(g, attack)))
-
-
 def strong_outcome(g: GameId) -> Outcome:
     """Strong misère outcome of a dead-ending game.
 
     Defined for dead-ending games only.  The empty game is N.  Otherwise
     each side is the worse, for the player moving first, of the plain
     result and the result with that player's murder one rank below g
-    placed alongside.
+    placed alongside; that sum is evaluated on the pair, not interned.
     """
     o = _STRONG.get(g)
     if o is None:
@@ -239,9 +236,10 @@ def strong_outcome(g: GameId) -> Outcome:
         if k == 0:
             o = Outcome.N
         else:
-            attack = core.murder(k - 1)
-            o = Outcome((_strong_side(g, attack, _mis_left, min),
-                         _strong_side(g, core.conjugate(attack), _mis_right, max)))
+            left_attack = core.murder(k - 1)
+            right_attack = core.conjugate(left_attack)
+            o = Outcome((min(_mis_left(g), _mis_sum_left(g, left_attack)),
+                         max(_mis_right(g), _mis_sum_right(g, right_attack))))
         _STRONG[g] = o
     return o
 

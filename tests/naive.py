@@ -121,3 +121,30 @@ def is_dicot(t):
 def is_impartial(t):
     l, r = t
     return l == r and all(is_impartial(x) for x in l)
+
+
+@lru_cache(maxsize=None)
+def murder(n):
+    """M(0) is the empty game, M(n) = {|0, M(n-1)}."""
+    zero = (frozenset(), frozenset())
+    return zero if n == 0 else (frozenset(), frozenset({zero, murder(n - 1)}))
+
+
+@lru_cache(maxsize=None)
+def strong_left_result(t):
+    """Left moving first in t, alone or beside the murder one rank below t,
+    whichever is worse for Left; the sum is built explicitly."""
+    if rank(t) == 0:
+        return left_result(t)
+    attacked = left_result(add(t, murder(rank(t) - 1)))
+    return "R" if "R" in (left_result(t), attacked) else "L"
+
+
+@lru_cache(maxsize=None)
+def strong_right_result(t):
+    """Right moving first in t, alone or beside the conjugated murder one
+    rank below t, whichever is worse for Right."""
+    if rank(t) == 0:
+        return right_result(t)
+    attacked = right_result(add(t, conjugate(murder(rank(t) - 1))))
+    return "L" if "L" in (right_result(t), attacked) else "R"

@@ -235,3 +235,30 @@ def test_reduction_pass_cap_exits_5(capsys, monkeypatch):
     code, out, err = run(capsys, "reduce", "--universe", "dicot", "{*|0}")
     assert (code, out) == (5, "")
     assert len(err.splitlines()) == 1 and "fixpoint" in err
+
+
+@pytest.mark.parametrize("game", ["-300", "M(300)"])
+def test_strong_outcome_of_deep_chains(capsys, game):
+    assert run(capsys, "strong-outcome", game) == (0, "L (left L, right L)\n", "")
+
+
+@pytest.mark.parametrize("target", ["murders", "ends", "conjugate", "embedding"])
+def test_scans_without_a_sample_refuse_seed(capsys, target):
+    code, out, err = run(capsys, "verify", target, "--seed", "99")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "--seed" in err
+
+
+def test_uniqueness_scan_reports_the_seed_it_used(capsys):
+    budget = ("--universe", "dicot", "--max-rank", "1", "--format", "structured")
+    code, out, _ = run(capsys, "verify", "uniqueness", *budget)
+    assert code == 0 and json.loads(out)["seed"] == 1729
+    code, out, _ = run(capsys, "verify", "uniqueness", "--seed", "99", *budget)
+    assert code == 0 and json.loads(out)["seed"] == 99
+
+
+def test_embedding_scan_reports_no_seed(capsys):
+    code, out, _ = run(capsys, "verify", "embedding", "--universe", "dicot",
+                       "--max-rank", "1", "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["seed"] is None

@@ -137,6 +137,12 @@ def test_scan_normal_embedding():
     assert rep.counts["ge_true"] == 30
 
 
+def test_scan_normal_embedding_reports_seed_only_when_sampling():
+    assert misere.scan_normal_embedding(D, max_rank=1).seed is None
+    rep = misere.scan_normal_embedding(D, max_rank=1, sample_pairs=5, seed=99)
+    assert (rep.checked, rep.seed) == (5, 99)
+
+
 def test_scan_cancellativity():
     rep = misere.scan_cancellativity(E, samples=60, max_rank=2, max_options=2)
     assert rep.ok

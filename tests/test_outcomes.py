@@ -103,6 +103,40 @@ def test_strong_outcome_matches_brute_force(g):
     assert misere.strong_right_outcome(g) == misere.brute_strong_right(g, max_options=2)
 
 
+def _dead_ends_and_conjugates():
+    ends = misere.enumerate_dead_ends(3)
+    return sorted(set(ends) | {misere.conjugate(e) for e in ends})
+
+
+# name -> (function making the games, expected count or None)
+STRONG_REFERENCE_SETS = {
+    "rank2-dead-ending": (
+        lambda: misere.enumerate_games(misere.EnumerationBudget(2, 4, E)), 232),
+    "rank3-dead-ending-sample": (
+        lambda: misere.sample_rank3_games(E, max_options=2, count=100, seed=7), 100),
+    "dead-ends-rank3-and-conjugates": (_dead_ends_and_conjugates, None),
+}
+
+
+def test_naive_murders_are_the_package_murders():
+    for n in range(5):
+        assert naive.reflect(misere.murder(n)) == naive.murder(n)
+
+
+@pytest.mark.parametrize("name", list(STRONG_REFERENCE_SETS))
+def test_strong_outcome_matches_naive_reference(name):
+    make, expected = STRONG_REFERENCE_SETS[name]
+    games = make()
+    if expected is not None:
+        assert len(games) == expected
+    mismatches = [
+        g for g in games
+        if (misere.strong_left_outcome(g).name, misere.strong_right_outcome(g).name)
+        != (naive.strong_left_result(naive.reflect(g)),
+            naive.strong_right_result(naive.reflect(g)))]
+    assert mismatches == []
+
+
 @given(dead_ending_games())
 def test_strong_outcome_never_improves_on_plain(g):
     # adversarial company can only hurt each player

@@ -2,9 +2,13 @@
 dead-end sets the brute-force strong outcomes play against.
 
 The pair evaluation must agree with the single-game results of the
-interned sum, and the brute-force oracle must no longer intern anything
-once its dead ends exist.
+interned sum, the brute-force oracle must no longer intern anything once
+its dead ends exist, and the closed-form strong outcome nothing once its
+murders exist.
 """
+
+import subprocess
+import sys
 
 import pytest
 
@@ -58,6 +62,25 @@ def test_brute_force_strong_outcomes_intern_nothing_once_ends_exist():
         lab.brute_strong_left(g)
         lab.brute_strong_right(g)
     assert len(core._NODES) == before
+
+
+def test_strong_outcomes_intern_nothing_once_murders_exist():
+    # A fresh interpreter, so that no earlier test has interned the sums.
+    script = """
+import misere
+from misere import EnumerationBudget, Universe, core
+games = misere.enumerate_games(EnumerationBudget(2, 4, Universe.DEAD_ENDING))
+for n in range(3):
+    core.conjugate(core.murder(n))
+before = len(core._NODES)
+for g in games:
+    misere.strong_outcome(g)
+print(len(games), len(core._NODES) - before)
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["232", "0"]
 
 
 @pytest.mark.parametrize("enumerate_ends", [lab.enumerate_dead_left_ends,
