@@ -111,11 +111,9 @@ def cmd_outcome(args) -> int:
 
 def cmd_strong_outcome(args) -> int:
     g = notation.parse(args.game)
-    left = outcomes.strong_left_outcome(g)
-    right = outcomes.strong_right_outcome(g)
     o = outcomes.strong_outcome(g)
-    _emit(args, {"strong_outcome": str(o), "left": str(left), "right": str(right)},
-          "%s (left %s, right %s)" % (o, left, right))
+    _emit(args, {"strong_outcome": str(o), "left": str(o.left), "right": str(o.right)},
+          "%s (left %s, right %s)" % (o, o.left, o.right))
     return EXIT_OK
 
 

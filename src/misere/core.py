@@ -278,12 +278,8 @@ class Universe(enum.Enum):
         return is_dead_ending(g)
 
 
-def _brace(g: GameId) -> str:
-    n = _node(g)
-    return "{%s|%s}" % (",".join(_brace(x) for x in n.left),
-                        ",".join(_brace(x) for x in n.right))
-
-
 def require_member(g: GameId, u: Universe) -> None:
     if not u.contains(g):
-        raise DomainError("game %s is not %s" % (_brace(g), u.value))
+        from . import notation
+        raise DomainError("game %s is not %s"
+                          % (notation.print_game(g, "brace"), u.value))

@@ -182,6 +182,12 @@ def sample_rank3_games(universe: Universe, max_options: int = 2,
     return sorted(seen, key=core.structural_key)
 
 
+def _require_count(name: str, n: int) -> None:
+    """Refuse a negative sample count, which would silently check nothing."""
+    if n < 0:
+        raise ValueError("%s must be at least 0, got %d" % (name, n))
+
+
 @dataclass(frozen=True)
 class ScanReport:
     name: str
@@ -294,8 +300,8 @@ def census(budget: Optional[EnumerationBudget] = None, *,
     conjugation (the universe is closed under both), so every game of a
     class gets its class's answer.
     """
-    if sample_pairs is not None and sample_pairs < 0:
-        raise ValueError("sample_pairs must be at least 0, got %d" % sample_pairs)
+    if sample_pairs is not None:
+        _require_count("sample_pairs", sample_pairs)
     if games is None:
         if budget is None or budget.universe is None:
             raise DomainError("census needs a universe-filtered budget or "
@@ -454,6 +460,7 @@ def scan_cancellativity(universe: Universe, samples: int = 1000,
     for those the comparison must also survive cancelling them again:
     there the implication tightens to an equality of verdicts.
     """
+    _require_count("samples", samples)
     u = universe
     games = enumerate_games(EnumerationBudget(max_rank, max_options, u))
     ends = [e for e in enumerate_dead_ends(max_rank) if u.contains(e)]
@@ -504,6 +511,7 @@ def scan_hand_tying(universe: Universe, samples: int = 1000,
     which options may join a Right-end in the dead-ending universe; such
     draws are redrawn and reported separately.
     """
+    _require_count("samples", samples)
     u = universe
     games = enumerate_games(EnumerationBudget(max_rank, max_options, u))
     movers = [g for g in games if core.left_options(g)]
@@ -512,7 +520,7 @@ def scan_hand_tying(universe: Universe, samples: int = 1000,
     checked = 0
     skipped = 0
     attempts = 0
-    while checked < samples and attempts < samples * 20:
+    while movers and checked < samples and attempts < samples * 20:
         attempts += 1
         g = movers[rng.randrange(len(movers))]
         a = games[rng.randrange(len(games))]
@@ -580,6 +588,8 @@ def scan_normal_embedding(universe: Universe, max_rank: int = 2,
     the report's seed is then None; otherwise checks sample_pairs pairs
     drawn with the seed.
     """
+    if sample_pairs is not None:
+        _require_count("sample_pairs", sample_pairs)
     u = universe
     games = enumerate_games(EnumerationBudget(max_rank, max_options, u))
     violations = []

@@ -3,7 +3,7 @@
 The grammar, whitespace-insensitive throughout:
 
     expr := term ('+' term)*
-    term := '~'? game
+    term := '~' term | game
     game := '{' opts '|' opts '}' | atom
     opts := (empty) | expr (',' expr)*
     atom := '0' | '*' | signed-integer | 'M(' natural ')'
@@ -82,8 +82,7 @@ class _Parser:
     def term(self) -> GameId:
         if self.peek() == "~":
             self.pos += 1
-            g = self.game()
-            g = core.conjugate(g)
+            g = core.conjugate(self.term())
             self.check_budget()
             return g
         return self.game()

@@ -7,14 +7,13 @@ convention a player with no move loses.  The pair of results folds into
 one of four outcomes L, N, P, R, partially ordered by how good they are
 for Left (L on top, R at the bottom, N and P incomparable).
 
-Each recursion is written once, with the convention or the side as a
-parameter: one factory binds the Left-first and Right-first functions of
-each convention, and ``strong_outcome`` computes both of its sides
-together from them.
-
-The results of a sum g + h are evaluated on the pair of ids (g, h), so a
-sum is never built in the intern table just to be evaluated; callers
-that only ask who wins a sum use ``sum_left_result`` and its siblings.
+There is one recursion, on pairs: the results of a sum g + h are
+evaluated on the pair of ids (g, h), and a single game g is the pair
+(0, g), since 0 is the identity of the sum.  One factory binds its
+Left-first and Right-first functions per convention, and
+``strong_outcome`` computes both of its sides together from them.  A sum
+is never built in the intern table just to be evaluated; callers that
+only ask who wins a sum use ``sum_left_result`` and its siblings.
 The closed-form strong outcome below does so too.  It is checked against
 two other implementations: the brute force in ``lab``, which plays every
 dead end up to a rank bound on pairs, and the frozenset reference in the
@@ -65,44 +64,23 @@ def outcome_ge(a: Outcome, b: Outcome) -> bool:
     return a.left >= b.left and a.right >= b.right
 
 
-def _convention(at_left_end: Result, left_memo: dict, right_memo: dict,
-                sum_left_memo: dict, sum_right_memo: dict):
-    """The Left-first and Right-first result functions of one convention,
-    of a single game and of a sum g + h given as the pair (g, h).
+def _convention(at_left_end: Result, left_memo: dict, right_memo: dict):
+    """The Left-first and Right-first result functions of one convention.
 
+    Each takes a sum g + h as the pair (g, h); a single game g is the pair
+    (0, g), since 0 is the identity of the sum and has no options.
     at_left_end is the result when Left has no move on Left's turn (L
     under misère play, R under normal play); a Right-end gives the other.
     Binding the closures once keeps side arguments out of the recursion.
     A sum is never interned: its options are the pairs (gᴸ, h) and
-    (g, hᴸ), its results are memoised per unordered pair, and a pair with
-    an empty component is the other component on its own.
+    (g, hᴸ), and its results are memoised per unordered pair.
     """
     at_right_end = Result(1 - at_left_end)
     zero = core.zero()
 
-    def left(g: GameId) -> Result:
-        r = left_memo.get(g)
-        if r is None:
-            opts = core.left_options(g)
-            r = max(map(right, opts)) if opts else at_left_end
-            left_memo[g] = r
-        return r
-
-    def right(g: GameId) -> Result:
-        r = right_memo.get(g)
-        if r is None:
-            opts = core.right_options(g)
-            r = min(map(left, opts)) if opts else at_right_end
-            right_memo[g] = r
-        return r
-
-    def sum_left(g: GameId, h: GameId) -> Result:
-        if g == zero:
-            return left(h)
-        if h == zero:
-            return left(g)
+    def left(g: GameId, h: GameId = zero) -> Result:
         key = (g, h) if g < h else (h, g)
-        r = sum_left_memo.get(key)
+        r = left_memo.get(key)
         if r is None:
             gl = core.left_options(g)
             hl = core.left_options(h)
@@ -110,56 +88,46 @@ def _convention(at_left_end: Result, left_memo: dict, right_memo: dict,
             # Loops rather than any(): the first win settles it, and no
             # generator frame is added per move of a long sum.
             for x in gl:
-                if sum_right(x, h) is Result.L:
+                if right(x, h) is Result.L:
                     r = Result.L
                     break
             else:
                 for y in hl:
-                    if sum_right(g, y) is Result.L:
+                    if right(g, y) is Result.L:
                         r = Result.L
                         break
-            sum_left_memo[key] = r
+            left_memo[key] = r
         return r
 
-    def sum_right(g: GameId, h: GameId) -> Result:
-        if g == zero:
-            return right(h)
-        if h == zero:
-            return right(g)
+    def right(g: GameId, h: GameId = zero) -> Result:
         key = (g, h) if g < h else (h, g)
-        r = sum_right_memo.get(key)
+        r = right_memo.get(key)
         if r is None:
             gr = core.right_options(g)
             hr = core.right_options(h)
             r = Result.L if gr or hr else at_right_end
             for x in gr:
-                if sum_left(x, h) is Result.R:
+                if left(x, h) is Result.R:
                     r = Result.R
                     break
             else:
                 for y in hr:
-                    if sum_left(g, y) is Result.R:
+                    if left(g, y) is Result.R:
                         r = Result.R
                         break
-            sum_right_memo[key] = r
+            right_memo[key] = r
         return r
 
-    return left, right, sum_left, sum_right
+    return left, right
 
 
 _MIS_L: dict = {}
 _MIS_R: dict = {}
-_MIS_SUM_L: dict = {}
-_MIS_SUM_R: dict = {}
-_mis_left, _mis_right, _mis_sum_left, _mis_sum_right = _convention(
-    Result.L, _MIS_L, _MIS_R, _MIS_SUM_L, _MIS_SUM_R)
+_mis_left, _mis_right = _convention(Result.L, _MIS_L, _MIS_R)
 
 _NOR_L: dict = {}
 _NOR_R: dict = {}
-_NOR_SUM_L: dict = {}
-_NOR_SUM_R: dict = {}
-_nor_left, _nor_right, _nor_sum_left, _nor_sum_right = _convention(
-    Result.R, _NOR_L, _NOR_R, _NOR_SUM_L, _NOR_SUM_R)
+_nor_left, _nor_right = _convention(Result.R, _NOR_L, _NOR_R)
 
 
 def left_result(g: GameId) -> Result:
@@ -194,27 +162,27 @@ def normal_outcome(g: GameId) -> Outcome:
 
 def sum_left_result(g: GameId, h: GameId) -> Result:
     """left_result(add(g, h)), without interning the sum."""
-    return _mis_sum_left(g, h)
+    return _mis_left(g, h)
 
 
 def sum_right_result(g: GameId, h: GameId) -> Result:
     """right_result(add(g, h)), without interning the sum."""
-    return _mis_sum_right(g, h)
+    return _mis_right(g, h)
 
 
 def sum_outcome(g: GameId, h: GameId) -> Outcome:
     """outcome(add(g, h)), without interning the sum."""
-    return Outcome((_mis_sum_left(g, h), _mis_sum_right(g, h)))
+    return Outcome((_mis_left(g, h), _mis_right(g, h)))
 
 
 def normal_sum_left_result(g: GameId, h: GameId) -> Result:
     """normal_left_result(add(g, h)), without interning the sum."""
-    return _nor_sum_left(g, h)
+    return _nor_left(g, h)
 
 
 def normal_sum_right_result(g: GameId, h: GameId) -> Result:
     """normal_right_result(add(g, h)), without interning the sum."""
-    return _nor_sum_right(g, h)
+    return _nor_right(g, h)
 
 
 _STRONG: dict = {}
@@ -238,8 +206,8 @@ def strong_outcome(g: GameId) -> Outcome:
         else:
             left_attack = core.murder(k - 1)
             right_attack = core.conjugate(left_attack)
-            o = Outcome((min(_mis_left(g), _mis_sum_left(g, left_attack)),
-                         max(_mis_right(g), _mis_sum_right(g, right_attack))))
+            o = Outcome((min(_mis_left(g), _mis_left(g, left_attack)),
+                         max(_mis_right(g), _mis_right(g, right_attack))))
         _STRONG[g] = o
     return o
 
@@ -256,7 +224,4 @@ def strong_right_outcome(g: GameId) -> Result:
 
 def base_outcome(g: GameId, u: Universe) -> Outcome:
     """The outcome a universe-relative comparison starts from."""
-    if u is Universe.DICOT:
-        return outcome(g)
-    o = _STRONG.get(g)
-    return strong_outcome(g) if o is None else o
+    return outcome(g) if u is Universe.DICOT else strong_outcome(g)

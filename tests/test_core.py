@@ -150,6 +150,12 @@ def test_membership_errors_render_the_game():
     assert "dicot" in str(err.value)
 
 
+def test_membership_error_text():
+    with pytest.raises(DomainError) as err:
+        misere.ge(misere.integer(1), misere.zero(), D)
+    assert str(err.value) == "game {{|}|} is not dicot"
+
+
 def test_followers_include_game_and_are_transitive():
     g = misere.parse("{0,*|1}")
     fs = misere.followers(g)

@@ -158,6 +158,22 @@ def test_scan_hand_tying():
     assert rep.counts["skipped_outside_universe"] >= 0
 
 
+def test_scan_hand_tying_without_movers():
+    rep = misere.scan_hand_tying(D, max_rank=0)
+    assert rep.ok
+    assert (rep.checked, rep.counts["movers"]) == (0, 0)
+
+
+@pytest.mark.parametrize("scan,kwargs", [
+    (misere.scan_hand_tying, {"samples": -1}),
+    (misere.scan_cancellativity, {"samples": -1}),
+    (misere.scan_normal_embedding, {"sample_pairs": -1}),
+])
+def test_scans_refuse_negative_sample_counts(scan, kwargs):
+    with pytest.raises(ValueError):
+        scan(D, max_rank=1, **kwargs)
+
+
 def test_scan_weak_avoidance():
     rep = misere.scan_weak_avoidance(E, max_rank=2, max_options=2)
     assert rep.ok

@@ -38,6 +38,12 @@ def test_parse_sums_and_conjugates():
     assert misere.parse("~0+~0") == misere.zero()
 
 
+def test_conjugation_nests():
+    assert misere.parse("~~1") == misere.integer(1)
+    assert misere.parse("~~{0|*}") == misere.parse("{0|*}")
+    assert misere.parse("~~~1") == misere.integer(-1)
+
+
 def test_named_printing_prefers_integers_then_star_then_murders():
     assert misere.print_game(misere.zero()) == "0"
     assert misere.print_game(misere.star()) == "*"
