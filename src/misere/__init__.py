@@ -3,127 +3,72 @@
 Games are interned trees (see misere.core); outcomes, universe-relative
 comparison, canonical forms, text notation and empirical verification
 scans live in the sibling modules and are re-exported here.
+
+Names load on first use: ``import misere`` imports no submodule, and
+reading ``misere.ge`` (or ``misere.ordering``) imports the module that
+defines it, so a caller pays only for the modules it reads.
 """
 
-from .core import (
-    DomainError,
-    GameId,
-    ResourceError,
-    Universe,
-    add,
-    conjugate,
-    followers,
-    integer,
-    is_dead_ending,
-    is_dead_left_end,
-    is_dead_right_end,
-    is_dicot,
-    is_impartial,
-    is_left_end,
-    is_right_end,
-    left_options,
-    mk_game,
-    murder,
-    rank,
-    right_options,
-    star,
-    structural_key,
-    zero,
-)
-from .outcomes import (
-    Outcome,
-    Result,
-    left_result,
-    normal_left_result,
-    normal_outcome,
-    normal_right_result,
-    outcome,
-    outcome_ge,
-    right_result,
-    strong_left_outcome,
-    strong_outcome,
-    strong_right_outcome,
-)
-from .ordering import (
-    Distinguisher,
-    definitional_ge_check,
-    distinguish,
-    equivalent,
-    ge,
-    ge_normal,
-)
-from .canonical import (
-    ReductionStep,
-    ReversibleOption,
-    bypass_open_reversible,
-    canonical_form,
-    canonical_form_traced,
-    find_reversible,
-    is_fundamental_left,
-    is_fundamental_right,
-    minimal_murder_index,
-    reduce_end_reversible_dead_ending,
-    reduce_end_reversible_dicot,
-    step_to_doc,
-    remove_dominated,
-)
-from .notation import (
-    InterchangeError,
-    ParseError,
-    from_interchange,
-    integer_value,
-    murder_value,
-    parse,
-    print_game,
-    to_interchange,
-)
-from .lab import (
-    DEFAULT_SEED,
-    MAX_ENUM_RANK,
-    CensusReport,
-    EnumerationBudget,
-    ScanReport,
-    brute_strong_left,
-    brute_strong_right,
-    census,
-    enumerate_dead_ends,
-    enumerate_dead_left_ends,
-    enumerate_dead_right_ends,
-    enumerate_games,
-    sample_rank3_games,
-    scan_cancellativity,
-    scan_conjugate_property,
-    scan_end_invertibility,
-    scan_hand_tying,
-    scan_murder_theorems,
-    scan_normal_embedding,
-    scan_weak_avoidance,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_SEED", "MAX_ENUM_RANK",
-    "CensusReport", "Distinguisher", "DomainError", "EnumerationBudget",
-    "GameId", "InterchangeError", "Outcome", "ParseError", "ReductionStep",
-    "ResourceError", "Result", "ReversibleOption", "ScanReport", "Universe",
-    "add", "brute_strong_left", "brute_strong_right",
-    "bypass_open_reversible", "canonical_form", "canonical_form_traced",
-    "census", "conjugate", "definitional_ge_check", "distinguish",
-    "enumerate_dead_ends", "enumerate_dead_left_ends",
-    "enumerate_dead_right_ends", "enumerate_games", "equivalent",
-    "find_reversible", "followers", "from_interchange", "ge", "ge_normal",
-    "integer", "integer_value", "is_dead_ending", "is_dead_left_end",
-    "is_dead_right_end", "is_dicot", "is_fundamental_left",
-    "is_fundamental_right", "is_impartial", "is_left_end", "is_right_end",
-    "left_options", "left_result", "minimal_murder_index", "mk_game",
-    "murder", "murder_value", "normal_left_result", "normal_outcome",
-    "normal_right_result", "outcome", "outcome_ge", "parse", "print_game",
-    "rank", "reduce_end_reversible_dead_ending", "reduce_end_reversible_dicot",
-    "remove_dominated", "right_options", "right_result",
-    "sample_rank3_games", "scan_cancellativity", "scan_conjugate_property",
-    "scan_end_invertibility", "scan_hand_tying", "scan_murder_theorems",
-    "scan_normal_embedding", "scan_weak_avoidance", "star", "step_to_doc",
-    "strong_left_outcome", "strong_outcome", "strong_right_outcome",
-    "structural_key", "to_interchange", "zero",
-]
+# Defining submodule -> the public names re-exported from it.
+_EXPORTS = {
+    "core": (
+        "DEFAULT_SEED", "DomainError", "GameId", "ResourceError", "Universe",
+        "add", "conjugate", "followers", "integer", "is_dead_ending",
+        "is_dead_left_end", "is_dead_right_end", "is_dicot", "is_impartial",
+        "is_left_end", "is_right_end", "left_options", "mk_game", "murder",
+        "rank", "right_options", "star", "structural_key", "zero",
+    ),
+    "outcomes": (
+        "Outcome", "Result", "left_result", "normal_left_result",
+        "normal_outcome", "normal_right_result", "outcome", "outcome_ge",
+        "right_result", "strong_left_outcome", "strong_outcome",
+        "strong_right_outcome",
+    ),
+    "ordering": (
+        "Distinguisher", "definitional_ge_check", "distinguish", "equivalent",
+        "ge", "ge_normal",
+    ),
+    "canonical": (
+        "ReductionStep", "ReversibleOption", "bypass_open_reversible",
+        "canonical_form", "canonical_form_traced", "find_reversible",
+        "is_fundamental_left", "is_fundamental_right", "minimal_murder_index",
+        "reduce_end_reversible_dead_ending", "reduce_end_reversible_dicot",
+        "step_to_doc", "remove_dominated",
+    ),
+    "notation": (
+        "InterchangeError", "ParseError", "from_interchange", "integer_value",
+        "murder_value", "parse", "print_game", "to_interchange",
+    ),
+    "lab": (
+        "MAX_ENUM_RANK", "CensusReport", "EnumerationBudget", "ScanReport",
+        "brute_strong_left", "brute_strong_right", "census",
+        "enumerate_dead_ends", "enumerate_dead_left_ends",
+        "enumerate_dead_right_ends", "enumerate_games", "sample_rank3_games",
+        "scan_cancellativity", "scan_conjugate_property",
+        "scan_end_invertibility", "scan_hand_tying", "scan_murder_theorems",
+        "scan_normal_embedding", "scan_weak_avoidance",
+    ),
+}
+
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        value = importlib.import_module("." + name, __name__)
+    elif name in _ORIGIN:
+        value = getattr(importlib.import_module("." + _ORIGIN[name], __name__), name)
+    else:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

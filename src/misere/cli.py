@@ -7,27 +7,32 @@ enumerate slices, and run the built-in verification scans.
 Exit codes: 0 success, 1 verification found violations, 2 usage error
 (including a rank below 0, fewer than one option, a budget variable that
 is not an integer, budget or universe flags on a scan with a fixed
-budget and universe, and ``--seed`` on a scan that draws no sample,
-which is every verify target but uniqueness), 3 notation error, 4 domain
-error (wrong universe, bad precondition), 5 resource cap exceeded (an
-enumeration or node cap, the reduction pass cap, or a game nested deeper
-than the recursion limit, such as ``parse 5000``).
+budget and universe, and ``--seed`` where nothing is sampled: every
+verify target but uniqueness, and enumerate without ``--census``), 3
+notation error, 4 domain error (wrong universe, bad precondition), 5
+resource cap exceeded (an enumeration or node cap, the reduction pass
+cap, or a game nested deeper than the recursion limit, such as ``parse
+5000``).
 
 Default enumeration budgets may be overridden with the environment
 variables MISERE_MAX_RANK and MISERE_MAX_OPTIONS; explicit flags win
 over the environment, which wins over the built-in defaults (rank 2,
 four options per side).  The murders and ends scans have fixed budgets,
 always scan the dead-ending universe, and ignore the environment.
+
+Each query runs in a fresh interpreter, so importing is part of its
+latency.  This module loads only core, notation and outcomes; a
+subcommand imports ordering, canonical, lab or json when it first needs
+them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import canonical, core, lab, notation, ordering, outcomes
+from . import core, notation, outcomes
 from .core import DomainError, ResourceError, Universe
 
 ENV_MAX_RANK = "MISERE_MAX_RANK"
@@ -79,6 +84,8 @@ def _resolve_budget(args) -> tuple:
 
 def _emit(args, doc: dict, text: str) -> None:
     if args.format == "structured":
+        import json
+
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
     else:
         sys.stdout.write(text + "\n")
@@ -93,6 +100,8 @@ def _game_doc(g) -> dict:
 
 
 def cmd_parse(args) -> int:
+    import json
+
     g = notation.parse(args.game)
     _emit(args, _game_doc(g),
           "%s\n%s\n%s" % (notation.print_game(g, "named"),
@@ -132,6 +141,8 @@ def cmd_conj(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import ordering
+
     g = notation.parse(args.left)
     h = notation.parse(args.right)
     if args.universe == "normal":
@@ -154,6 +165,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import canonical
+
     g = notation.parse(args.game)
     u = _universe(args.universe)
     if args.trace:
@@ -175,6 +188,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
+    from . import ordering
+
     g = notation.parse(args.left)
     h = notation.parse(args.right)
     u = _universe(args.universe)
@@ -193,12 +208,18 @@ def cmd_distinguish(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from . import lab
+
+    if not args.census and args.seed is not None:
+        raise UsageError("enumerate draws no sample without --census; "
+                         "--seed does not apply")
     u = _universe(args.universe)
     max_rank, max_options = _resolve_budget(args)
     budget = lab.EnumerationBudget(max_rank=max_rank, max_options=max_options,
                                    universe=u)
     if args.census:
-        report = lab.census(budget, seed=args.seed)
+        seed = core.DEFAULT_SEED if args.seed is None else args.seed
+        report = lab.census(budget, seed=seed)
         _emit(args, report.to_doc(), report.render_text())
         return EXIT_OK if report.ok else EXIT_VIOLATIONS
     games = lab.enumerate_games(budget)
@@ -209,6 +230,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import lab
+
     target = args.target
     if target != "uniqueness" and args.seed is not None:
         raise UsageError("verify %s draws no sample; --seed does not apply"
@@ -232,7 +255,7 @@ def cmd_verify(args) -> int:
         max_rank, max_options = _resolve_budget(args)
         budget = lab.EnumerationBudget(max_rank=max_rank,
                                        max_options=max_options, universe=u)
-        seed = lab.DEFAULT_SEED if args.seed is None else args.seed
+        seed = core.DEFAULT_SEED if args.seed is None else args.seed
         report = lab.census(budget, seed=seed)
     elif target == "ends":
         report = lab.scan_end_invertibility()
@@ -315,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list a slice, or census it")
     p.add_argument("--universe", required=True, choices=("dicot", "dead-ending"))
     p.add_argument("--census", action="store_true")
-    p.add_argument("--seed", type=int, default=lab.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None,
+                   help="default %d; only --census samples, a listing "
+                        "refuses it" % core.DEFAULT_SEED)
     budgeted(p)
     common(p)
     p.set_defaults(func=cmd_enumerate)
@@ -329,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default dead-ending; murders and ends refuse it")
     p.add_argument("--seed", type=int, default=None,
                    help="default %d; only uniqueness samples, the other "
-                        "targets refuse it" % lab.DEFAULT_SEED)
+                        "targets refuse it" % core.DEFAULT_SEED)
     budgeted(p)
     common(p)
     p.set_defaults(func=cmd_verify)

@@ -22,6 +22,11 @@ from typing import Iterable, Optional
 
 GameId = int
 
+# Seed of the sampled scans (lab) when the caller gives none.  It lives
+# here, with no dependencies, so the command line can read it without
+# loading the enumeration lab.
+DEFAULT_SEED = 1729
+
 
 class DomainError(ValueError):
     """An argument lies outside the domain an operation is defined on."""

@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import canonical, core, notation, ordering, outcomes
-from .core import DomainError, GameId, ResourceError, Universe
+from .core import DEFAULT_SEED, DomainError, GameId, ResourceError, Universe
 from .outcomes import Outcome, Result
 
-DEFAULT_SEED = 1729
 MAX_ENUM_RANK = 3
 DEFAULT_NODE_CAP = 500_000
 

@@ -179,9 +179,21 @@ def integer_value(g: GameId) -> Optional[int]:
 
 
 def murder_value(g: GameId) -> Optional[int]:
-    """The n with g identical to murder(n), if there is one."""
-    n = core.rank(g)
-    return n if core.murder(n) == g else None
+    """The n with g identical to murder(n), if there is one.
+
+    Walks the chain M(n) = {|0, M(n-1)} down to 0 and builds no game,
+    so printing interns nothing.
+    """
+    zero = core.zero()
+    n = 0
+    while g != zero:
+        right = core.right_options(g)
+        # 0 sorts first in every option set; M(1) = {|0} has no second option.
+        if core.left_options(g) or right[0] != zero or len(right) > 2:
+            return None
+        g = right[-1]
+        n += 1
+    return n
 
 
 def _atom_name(g: GameId) -> Optional[str]:

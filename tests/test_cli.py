@@ -262,3 +262,19 @@ def test_embedding_scan_reports_no_seed(capsys):
                        "--max-rank", "1", "--format", "structured")
     assert code == 0
     assert json.loads(out)["seed"] is None
+
+
+def test_enumerate_listing_refuses_seed(capsys):
+    code, out, err = run(capsys, "enumerate", "--universe", "dicot",
+                         "--max-rank", "1", "--seed", "5")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "--seed" in err
+
+
+def test_enumerate_census_reports_the_seed_it_used(capsys):
+    budget = ("--universe", "dicot", "--max-rank", "1", "--census",
+              "--format", "structured")
+    code, out, _ = run(capsys, "enumerate", *budget)
+    assert code == 0 and json.loads(out)["seed"] == 1729
+    code, out, _ = run(capsys, "enumerate", "--seed", "5", *budget)
+    assert code == 0 and json.loads(out)["seed"] == 5

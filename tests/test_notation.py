@@ -1,8 +1,12 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 
 import misere
-from misere import InterchangeError, ParseError, ResourceError
+from misere import (EnumerationBudget, InterchangeError, ParseError,
+                    ResourceError, Universe)
 
 from conftest import games
 
@@ -68,6 +72,35 @@ def test_integer_and_murder_recognizers():
     assert misere.integer_value(misere.star()) is None
     assert misere.murder_value(misere.murder(3)) == 3
     assert misere.murder_value(misere.integer(2)) is None
+
+
+def test_murder_value_agrees_with_building_the_murder():
+    def built(g):
+        n = misere.rank(g)
+        return n if misere.murder(n) == g else None
+
+    zero, murders = misere.zero(), [misere.murder(n) for n in range(51)]
+    # Near misses: a murder with an extra Left option or Right option.
+    near = [misere.mk_game(left, misere.right_options(m) + right)
+            for m in murders[1:]
+            for left, right in (((zero,), ()), ((), (misere.integer(-2),)))]
+    slice_ = misere.enumerate_games(EnumerationBudget(2, 4, Universe.DEAD_ENDING))
+    for g in slice_ + murders + near:
+        assert misere.murder_value(g) == built(g)
+
+
+def test_printing_interns_nothing():
+    # A fresh interpreter, so that no earlier test has interned M(41).
+    script = """
+from misere import core, notation
+g = core.mk_game((core.integer(40),), (core.star(),))
+before = len(core._NODES)
+print(notation.print_game(g, "named"), len(core._NODES) - before)
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["{40|*}", "0"]
 
 
 @given(games())
