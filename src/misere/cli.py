@@ -50,14 +50,6 @@ class UsageError(Exception):
     """Arguments that parse but cannot be honoured."""
 
 
-def _universe(name: str) -> Universe:
-    if name == "dicot":
-        return Universe.DICOT
-    if name == "dead-ending":
-        return Universe.DEAD_ENDING
-    raise DomainError("unknown universe %r" % name)
-
-
 def _env_int(name: str, fallback: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
@@ -82,11 +74,13 @@ def _resolve_budget(args) -> tuple:
             _budget_value(args.max_options, "--max-options", ENV_MAX_OPTIONS, 4, 1))
 
 
-def _emit(args, doc: dict, text: str) -> None:
+def _emit(args, doc, text: str) -> None:
+    """Print text, or in structured mode the JSON of doc(); the document
+    is built only there."""
     if args.format == "structured":
         import json
 
-        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(doc(), sort_keys=True) + "\n")
     else:
         sys.stdout.write(text + "\n")
 
@@ -103,7 +97,7 @@ def cmd_parse(args) -> int:
     import json
 
     g = notation.parse(args.game)
-    _emit(args, _game_doc(g),
+    _emit(args, lambda: _game_doc(g),
           "%s\n%s\n%s" % (notation.print_game(g, "named"),
                           notation.print_game(g, "brace"),
                           json.dumps(notation.to_interchange(g), sort_keys=True)))
@@ -114,14 +108,15 @@ def cmd_outcome(args) -> int:
     g = notation.parse(args.game)
     o = outcomes.normal_outcome(g) if args.normal else outcomes.outcome(g)
     kind = "normal" if args.normal else "misere"
-    _emit(args, {"outcome": str(o), "convention": kind}, str(o))
+    _emit(args, lambda: {"outcome": str(o), "convention": kind}, str(o))
     return EXIT_OK
 
 
 def cmd_strong_outcome(args) -> int:
     g = notation.parse(args.game)
     o = outcomes.strong_outcome(g)
-    _emit(args, {"strong_outcome": str(o), "left": str(o.left), "right": str(o.right)},
+    _emit(args, lambda: {"strong_outcome": str(o), "left": str(o.left),
+                         "right": str(o.right)},
           "%s (left %s, right %s)" % (o, o.left, o.right))
     return EXIT_OK
 
@@ -130,13 +125,13 @@ def cmd_sum(args) -> int:
     g = core.zero()
     for text in args.game:
         g = core.add(g, notation.parse(text))
-    _emit(args, _game_doc(g), notation.print_game(g, "named"))
+    _emit(args, lambda: _game_doc(g), notation.print_game(g, "named"))
     return EXIT_OK
 
 
 def cmd_conj(args) -> int:
     g = core.conjugate(notation.parse(args.game))
-    _emit(args, _game_doc(g), notation.print_game(g, "named"))
+    _emit(args, lambda: _game_doc(g), notation.print_game(g, "named"))
     return EXIT_OK
 
 
@@ -149,7 +144,7 @@ def cmd_compare(args) -> int:
         ge_gh = ordering.ge_normal(g, h)
         ge_hg = ordering.ge_normal(h, g)
     else:
-        u = _universe(args.universe)
+        u = Universe(args.universe)
         ge_gh = ordering.ge(g, h, u)
         ge_hg = ordering.ge(h, g, u)
     if ge_gh and ge_hg:
@@ -160,7 +155,7 @@ def cmd_compare(args) -> int:
         rel = "<="
     else:
         rel = "incomparable"
-    _emit(args, {"relation": rel, "universe": args.universe}, rel)
+    _emit(args, lambda: {"relation": rel, "universe": args.universe}, rel)
     return EXIT_OK
 
 
@@ -168,22 +163,21 @@ def cmd_reduce(args) -> int:
     from . import canonical
 
     g = notation.parse(args.game)
-    u = _universe(args.universe)
+    u = Universe(args.universe)
     if args.trace:
         canon, steps = canonical.canonical_form_traced(g, u)
-        docs = [canonical.step_to_doc(s) for s in steps]
         text_lines = [notation.print_game(canon, "named")]
         for s in steps:
             text_lines.append("%s [%s]: %s -> %s" % (
                 s.rule, s.side,
                 notation.print_game(s.before, "named"),
                 notation.print_game(s.after, "named")))
-        doc = _game_doc(canon)
-        doc["trace"] = docs
-        _emit(args, doc, "\n".join(text_lines))
+        _emit(args, lambda: dict(_game_doc(canon), trace=[
+            canonical.step_to_doc(s) for s in steps]), "\n".join(text_lines))
     else:
         canon = canonical.canonical_form(g, u)
-        _emit(args, _game_doc(canon), notation.print_game(canon, "named"))
+        _emit(args, lambda: _game_doc(canon),
+              notation.print_game(canon, "named"))
     return EXIT_OK
 
 
@@ -192,17 +186,20 @@ def cmd_distinguish(args) -> int:
 
     g = notation.parse(args.left)
     h = notation.parse(args.right)
-    u = _universe(args.universe)
+    u = Universe(args.universe)
     max_rank, max_options = _resolve_budget(args)
     verdict = ordering.distinguish(g, h, u, max_rank, max_options)
-    doc = {"verdict": verdict.verdict,
-           "budget": {"max_rank": max_rank, "max_options": max_options}}
+
+    def doc():
+        d = {"verdict": verdict.verdict,
+             "budget": {"max_rank": max_rank, "max_options": max_options}}
+        if verdict.witness is not None:
+            d["witness"] = _game_doc(verdict.witness)
+        return d
+
+    text = verdict.verdict
     if verdict.witness is not None:
-        doc["witness"] = _game_doc(verdict.witness)
-        text = "%s: %s" % (verdict.verdict,
-                           notation.print_game(verdict.witness, "named"))
-    else:
-        text = verdict.verdict
+        text += ": " + notation.print_game(verdict.witness, "named")
     _emit(args, doc, text)
     return EXIT_OK
 
@@ -213,19 +210,19 @@ def cmd_enumerate(args) -> int:
     if not args.census and args.seed is not None:
         raise UsageError("enumerate draws no sample without --census; "
                          "--seed does not apply")
-    u = _universe(args.universe)
+    u = Universe(args.universe)
     max_rank, max_options = _resolve_budget(args)
     budget = lab.EnumerationBudget(max_rank=max_rank, max_options=max_options,
                                    universe=u)
     if args.census:
         seed = core.DEFAULT_SEED if args.seed is None else args.seed
         report = lab.census(budget, seed=seed)
-        _emit(args, report.to_doc(), report.render_text())
+        _emit(args, report.to_doc, report.render_text())
         return EXIT_OK if report.ok else EXIT_VIOLATIONS
     games = lab.enumerate_games(budget)
-    doc = {"universe": u.value, "count": len(games),
-           "games": [notation.print_game(g, "named") for g in games]}
-    _emit(args, doc, "\n".join(doc["games"]))
+    names = [notation.print_game(g, "named") for g in games]
+    _emit(args, lambda: {"universe": u.value, "count": len(games), "games": names},
+          "\n".join(names))
     return EXIT_OK
 
 
@@ -248,10 +245,10 @@ def cmd_verify(args) -> int:
     if target == "murders":
         report = lab.scan_murder_theorems()
     elif target == "conjugate":
-        report = lab.scan_conjugate_property(_universe(args.universe),
+        report = lab.scan_conjugate_property(Universe(args.universe),
                                              *_resolve_budget(args))
     elif target == "uniqueness":
-        u = _universe(args.universe)
+        u = Universe(args.universe)
         max_rank, max_options = _resolve_budget(args)
         budget = lab.EnumerationBudget(max_rank=max_rank,
                                        max_options=max_options, universe=u)
@@ -260,11 +257,11 @@ def cmd_verify(args) -> int:
     elif target == "ends":
         report = lab.scan_end_invertibility()
     elif target == "embedding":
-        report = lab.scan_normal_embedding(_universe(args.universe),
+        report = lab.scan_normal_embedding(Universe(args.universe),
                                            *_resolve_budget(args))
     else:
         raise DomainError("unknown verification target %r" % target)
-    _emit(args, report.to_doc(), report.render_text())
+    _emit(args, report.to_doc, report.render_text())
     return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
 

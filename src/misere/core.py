@@ -17,6 +17,7 @@ total order on interned games.
 from __future__ import annotations
 
 import enum
+import operator
 import threading
 from typing import Iterable, Optional
 
@@ -134,6 +135,7 @@ _INTEGERS: dict = {0: _ZERO}
 
 def integer(n: int) -> GameId:
     """The integer game: n Left moves for n > 0, |n| Right moves for n < 0."""
+    n = operator.index(n)
     g = _INTEGERS.get(n)
     if g is not None:
         return g
@@ -161,6 +163,7 @@ def murder(n: int) -> GameId:
 
     murder(0) is the empty game; murder(1) coincides with integer(-1).
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError("murder index must be a natural number")
     while len(_MURDERS) <= n:

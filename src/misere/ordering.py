@@ -42,29 +42,27 @@ def _ge(g: GameId, h: GameId, u: Universe) -> bool:
     return r
 
 
+def _le(g: GameId, h: GameId, u: Universe) -> bool:
+    return _ge(h, g, u)
+
+
 def _ge_compute(g: GameId, h: GameId, u: Universe) -> bool:
     if not outcome_ge(outcomes.base_outcome(g, u), outcomes.base_outcome(h, u)):
         return False
-    gl = core.left_options(g)
-    gr = core.right_options(g)
-    hl = core.left_options(h)
-    hr = core.right_options(h)
     # Left must keep up: every Left option of h is matched by a Left
     # option of g, unless h's move can be answered through its own
-    # Right responses back below g.
-    for x in hl:
-        if any(_ge(a, x, u) for a in gl):
-            continue
-        if any(_ge(g, b, u) for b in core.right_options(x)):
-            continue
-        return False
-    # Right must not gain: symmetric condition on g's Right options.
-    for y in gr:
-        if any(_ge(y, c, u) for c in hr):
-            continue
-        if any(_ge(d, h, u) for d in core.left_options(y)):
-            continue
-        return False
+    # Right responses back below g.  Right must not gain: the same
+    # condition with the players swapped, on g's Right options.
+    for mine, theirs, own, reply, above in (
+            (g, h, core.left_options, core.right_options, _ge),
+            (h, g, core.right_options, core.left_options, _le)):
+        ours = own(mine)
+        for x in own(theirs):
+            if any(above(a, x, u) for a in ours):
+                continue
+            if any(above(mine, b, u) for b in reply(x)):
+                continue
+            return False
     return True
 
 

@@ -9,9 +9,11 @@ for Left (L on top, R at the bottom, N and P incomparable).
 
 There is one recursion, on pairs: the results of a sum g + h are
 evaluated on the pair of ids (g, h), and a single game g is the pair
-(0, g), since 0 is the identity of the sum.  One factory binds its
-Left-first and Right-first functions per convention, and
-``strong_outcome`` computes both of its sides together from them.  A sum
+(0, g), since 0 is the identity of the sum.  The result function of the
+player to move is written once: per convention, Left's is made from
+Left's options, winner, end value and memo, and Right's is the same body
+with each of them swapped.  ``strong_outcome`` computes both of its
+sides together from the two functions.  A sum
 is never built in the intern table just to be evaluated; callers that
 only ask who wins a sum use ``sum_left_result`` and its siblings.
 The closed-form strong outcome below does so too.  It is checked against
@@ -47,16 +49,12 @@ class Outcome(enum.Enum):
     P = (Result.R, Result.L)
     R = (Result.R, Result.R)
 
+    def __init__(self, left: Result, right: Result):
+        self.left = left
+        self.right = right
+
     def __str__(self):
         return self.name
-
-    @property
-    def left(self) -> Result:
-        return self.value[0]
-
-    @property
-    def right(self) -> Result:
-        return self.value[1]
 
 
 def outcome_ge(a: Outcome, b: Outcome) -> bool:
@@ -71,54 +69,47 @@ def _convention(at_left_end: Result, left_memo: dict, right_memo: dict):
     (0, g), since 0 is the identity of the sum and has no options.
     at_left_end is the result when Left has no move on Left's turn (L
     under misère play, R under normal play); a Right-end gives the other.
-    Binding the closures once keeps side arguments out of the recursion.
-    A sum is never interned: its options are the pairs (gᴸ, h) and
-    (g, hᴸ), and its results are memoised per unordered pair.
+    One body serves both players: Right is Left with the options, the
+    winner, the end value and the memo swapped.  Each function finds the
+    other player's function in a table bound here, so no side argument
+    enters the recursion.  A sum is never interned: its options for the
+    player to move are the pairs (gᴸ, h) and (g, hᴸ), and its results are
+    memoised per unordered pair.
     """
-    at_right_end = Result(1 - at_left_end)
     zero = core.zero()
+    mover = [None, None]  # indexed by the Result the player to move wants
 
-    def left(g: GameId, h: GameId = zero) -> Result:
-        key = (g, h) if g < h else (h, g)
-        r = left_memo.get(key)
-        if r is None:
-            gl = core.left_options(g)
-            hl = core.left_options(h)
-            r = Result.R if gl or hl else at_left_end
-            # Loops rather than any(): the first win settles it, and no
-            # generator frame is added per move of a long sum.
-            for x in gl:
-                if right(x, h) is Result.L:
-                    r = Result.L
-                    break
-            else:
-                for y in hl:
-                    if right(g, y) is Result.L:
-                        r = Result.L
+    def player(options, wins: Result, at_end: Result, memo: dict):
+        loses = Result(1 - wins)
+
+        def result(g: GameId, h: GameId = zero) -> Result:
+            key = (g, h) if g < h else (h, g)
+            r = memo.get(key)
+            if r is None:
+                reply = mover[loses]
+                go = options(g)
+                ho = options(h)
+                r = loses if go or ho else at_end
+                # Loops rather than any(): the first win settles it, and no
+                # generator frame is added per move of a long sum.
+                for x in go:
+                    if reply(x, h) is wins:
+                        r = wins
                         break
-            left_memo[key] = r
-        return r
+                else:
+                    for y in ho:
+                        if reply(g, y) is wins:
+                            r = wins
+                            break
+                memo[key] = r
+            return r
 
-    def right(g: GameId, h: GameId = zero) -> Result:
-        key = (g, h) if g < h else (h, g)
-        r = right_memo.get(key)
-        if r is None:
-            gr = core.right_options(g)
-            hr = core.right_options(h)
-            r = Result.L if gr or hr else at_right_end
-            for x in gr:
-                if left(x, h) is Result.R:
-                    r = Result.R
-                    break
-            else:
-                for y in hr:
-                    if left(g, y) is Result.R:
-                        r = Result.R
-                        break
-            right_memo[key] = r
-        return r
+        mover[wins] = result
+        return result
 
-    return left, right
+    return (player(core.left_options, Result.L, at_left_end, left_memo),
+            player(core.right_options, Result.R, Result(1 - at_left_end),
+                   right_memo))
 
 
 _MIS_L: dict = {}

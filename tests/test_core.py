@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 import misere
-from misere import DomainError, Universe
+from misere import DomainError, Universe, core
 
 import naive
 from conftest import games
@@ -193,3 +193,11 @@ def test_interning_is_thread_safe():
     for t in threads:
         t.join()
     assert all(row == out[0] for row in out)
+
+
+@pytest.mark.parametrize("make, n", [(misere.integer, 0.5), (misere.murder, 2.5)])
+def test_non_integral_index_is_refused_before_interning(make, n):
+    before = len(core._NODES)
+    with pytest.raises(TypeError):
+        make(n)
+    assert len(core._NODES) == before

@@ -9,7 +9,7 @@ on purpose: they try Left before Right, so they are not symmetric.
 import pytest
 
 import misere
-from misere import EnumerationBudget, Result, Universe
+from misere import EnumerationBudget, Result, Universe, outcomes
 
 D = Universe.DICOT
 E = Universe.DEAD_ENDING
@@ -67,3 +67,33 @@ def test_reversible_options_mirror(games):
         c = misere.conjugate(g)
         assert (misere.find_reversible(g, "L", u) is None) == \
             (misere.find_reversible(c, "R", u) is None)
+
+
+PAIR_SLICES = {
+    "rank-2 dicot": EnumerationBudget(2, 4, D),
+    "rank-2 dead-ending": EnumerationBudget(2, 4, E),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PAIR_SLICES))
+def pair_slice(request):
+    budget = PAIR_SLICES[request.param]
+    gs = misere.enumerate_games(budget)
+    return budget.universe, gs, {g: misere.conjugate(g) for g in gs}
+
+
+def test_ge_mirrors_under_conjugation(pair_slice):
+    u, gs, conj = pair_slice
+    for g in gs:
+        for h in gs:
+            assert misere.ge(g, h, u) == misere.ge(conj[h], conj[g], u)
+
+
+def test_sum_results_mirror(pair_slice):
+    _, gs, conj = pair_slice
+    for g in gs:
+        for h in gs:
+            assert outcomes.sum_right_result(g, h) == \
+                flip(outcomes.sum_left_result(conj[g], conj[h]))
+            assert outcomes.normal_sum_right_result(g, h) == \
+                flip(outcomes.normal_sum_left_result(conj[g], conj[h]))
