@@ -22,7 +22,6 @@ canonicalized games is id equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import core, ordering, outcomes
@@ -38,18 +37,25 @@ RULE_STAR_PAIR_TO_ZERO = "star-pair-to-zero"
 RULE_SUBSTITUTE_MURDER = "substitute-murder"
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(core.Record):
+    """One rewrite: rule (a RULE_* name) turned before into after, on side
+    "L" or "R"."""
+
+    __slots__ = ("rule", "side", "before", "after")
     rule: str
     side: str
     before: GameId
     after: GameId
 
 
-@dataclass(frozen=True)
-class ReversibleOption:
-    """An option A the opponent can revert through B at no loss."""
+class ReversibleOption(core.Record):
+    """An option A the opponent can revert through B at no loss.
 
+    option is A, via is B, and open says whether B still has moves for
+    A's owner to splice in (open reversible) or none (end reversible).
+    """
+
+    __slots__ = ("option", "via", "open")
     option: GameId
     via: GameId
     open: bool

@@ -20,10 +20,14 @@ over the environment, which wins over the built-in defaults (rank 2,
 four options per side).  The murders and ends scans have fixed budgets,
 always scan the dead-ending universe, and ignore the environment.
 
-Each query runs in a fresh interpreter, so importing is part of its
-latency.  This module loads only core, notation and outcomes; a
-subcommand imports ordering, canonical, lab or json when it first needs
-them.
+Each query runs in a fresh interpreter, so importing and building the
+argument parser are part of its latency.  This module loads only core,
+notation and outcomes; a subcommand imports ordering, canonical, lab or
+json when it first needs them, and none of these imports dataclasses.
+``main`` builds the subparser of the one subcommand the query names, or
+all of them when the first argument names none (help, a missing or an
+unknown subcommand).  Either way the usage and help texts are the same.
+Each answer is built only in the format printed.
 """
 
 from __future__ import annotations
@@ -74,15 +78,15 @@ def _resolve_budget(args) -> tuple:
             _budget_value(args.max_options, "--max-options", ENV_MAX_OPTIONS, 4, 1))
 
 
-def _emit(args, doc, text: str) -> None:
-    """Print text, or in structured mode the JSON of doc(); the document
-    is built only there."""
+def _emit(args, doc, text) -> None:
+    """Print text(), or in structured mode the JSON of doc(); only the
+    answer printed is built."""
     if args.format == "structured":
         import json
 
         sys.stdout.write(json.dumps(doc(), sort_keys=True) + "\n")
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text() + "\n")
 
 
 def _game_doc(g) -> dict:
@@ -93,14 +97,21 @@ def _game_doc(g) -> dict:
     }
 
 
-def cmd_parse(args) -> int:
-    import json
+def _named(g):
+    return lambda: notation.print_game(g, "named")
 
+
+def cmd_parse(args) -> int:
     g = notation.parse(args.game)
-    _emit(args, lambda: _game_doc(g),
-          "%s\n%s\n%s" % (notation.print_game(g, "named"),
-                          notation.print_game(g, "brace"),
-                          json.dumps(notation.to_interchange(g), sort_keys=True)))
+
+    def text():
+        import json
+
+        return "%s\n%s\n%s" % (notation.print_game(g, "named"),
+                               notation.print_game(g, "brace"),
+                               json.dumps(notation.to_interchange(g), sort_keys=True))
+
+    _emit(args, lambda: _game_doc(g), text)
     return EXIT_OK
 
 
@@ -108,7 +119,7 @@ def cmd_outcome(args) -> int:
     g = notation.parse(args.game)
     o = outcomes.normal_outcome(g) if args.normal else outcomes.outcome(g)
     kind = "normal" if args.normal else "misere"
-    _emit(args, lambda: {"outcome": str(o), "convention": kind}, str(o))
+    _emit(args, lambda: {"outcome": str(o), "convention": kind}, lambda: str(o))
     return EXIT_OK
 
 
@@ -117,7 +128,7 @@ def cmd_strong_outcome(args) -> int:
     o = outcomes.strong_outcome(g)
     _emit(args, lambda: {"strong_outcome": str(o), "left": str(o.left),
                          "right": str(o.right)},
-          "%s (left %s, right %s)" % (o, o.left, o.right))
+          lambda: "%s (left %s, right %s)" % (o, o.left, o.right))
     return EXIT_OK
 
 
@@ -125,13 +136,13 @@ def cmd_sum(args) -> int:
     g = core.zero()
     for text in args.game:
         g = core.add(g, notation.parse(text))
-    _emit(args, lambda: _game_doc(g), notation.print_game(g, "named"))
+    _emit(args, lambda: _game_doc(g), _named(g))
     return EXIT_OK
 
 
 def cmd_conj(args) -> int:
     g = core.conjugate(notation.parse(args.game))
-    _emit(args, lambda: _game_doc(g), notation.print_game(g, "named"))
+    _emit(args, lambda: _game_doc(g), _named(g))
     return EXIT_OK
 
 
@@ -155,7 +166,7 @@ def cmd_compare(args) -> int:
         rel = "<="
     else:
         rel = "incomparable"
-    _emit(args, lambda: {"relation": rel, "universe": args.universe}, rel)
+    _emit(args, lambda: {"relation": rel, "universe": args.universe}, lambda: rel)
     return EXIT_OK
 
 
@@ -166,18 +177,21 @@ def cmd_reduce(args) -> int:
     u = Universe(args.universe)
     if args.trace:
         canon, steps = canonical.canonical_form_traced(g, u)
-        text_lines = [notation.print_game(canon, "named")]
-        for s in steps:
-            text_lines.append("%s [%s]: %s -> %s" % (
-                s.rule, s.side,
-                notation.print_game(s.before, "named"),
-                notation.print_game(s.after, "named")))
+
+        def text():
+            lines = [notation.print_game(canon, "named")]
+            for s in steps:
+                lines.append("%s [%s]: %s -> %s" % (
+                    s.rule, s.side,
+                    notation.print_game(s.before, "named"),
+                    notation.print_game(s.after, "named")))
+            return "\n".join(lines)
+
         _emit(args, lambda: dict(_game_doc(canon), trace=[
-            canonical.step_to_doc(s) for s in steps]), "\n".join(text_lines))
+            canonical.step_to_doc(s) for s in steps]), text)
     else:
         canon = canonical.canonical_form(g, u)
-        _emit(args, lambda: _game_doc(canon),
-              notation.print_game(canon, "named"))
+        _emit(args, lambda: _game_doc(canon), _named(canon))
     return EXIT_OK
 
 
@@ -197,9 +211,11 @@ def cmd_distinguish(args) -> int:
             d["witness"] = _game_doc(verdict.witness)
         return d
 
-    text = verdict.verdict
-    if verdict.witness is not None:
-        text += ": " + notation.print_game(verdict.witness, "named")
+    def text():
+        if verdict.witness is None:
+            return verdict.verdict
+        return verdict.verdict + ": " + notation.print_game(verdict.witness, "named")
+
     _emit(args, doc, text)
     return EXIT_OK
 
@@ -217,12 +233,12 @@ def cmd_enumerate(args) -> int:
     if args.census:
         seed = core.DEFAULT_SEED if args.seed is None else args.seed
         report = lab.census(budget, seed=seed)
-        _emit(args, report.to_doc, report.render_text())
+        _emit(args, report.to_doc, report.render_text)
         return EXIT_OK if report.ok else EXIT_VIOLATIONS
     games = lab.enumerate_games(budget)
     names = [notation.print_game(g, "named") for g in games]
     _emit(args, lambda: {"universe": u.value, "count": len(games), "games": names},
-          "\n".join(names))
+          lambda: "\n".join(names))
     return EXIT_OK
 
 
@@ -261,88 +277,59 @@ def cmd_verify(args) -> int:
                                            *_resolve_budget(args))
     else:
         raise DomainError("unknown verification target %r" % target)
-    _emit(args, report.to_doc, report.render_text())
+    _emit(args, report.to_doc, report.render_text)
     return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="misere",
-        description="Misère game algebra in the dicot and dead-ending universes.")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("text", "structured"),
-                       default="text",
-                       help="structured prints one JSON document on stdout")
-
-    def budgeted(p):
-        p.add_argument("--max-rank", type=int, default=None)
-        p.add_argument("--max-options", type=int, default=None)
-
-    p = sub.add_parser("parse", help="normalize a game expression")
+def _add_game(p):
     p.add_argument("game")
-    common(p)
-    p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("outcome", help="misère (default) or normal outcome")
+
+def _add_outcome(p):
     p.add_argument("game")
     p.add_argument("--normal", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_outcome)
 
-    p = sub.add_parser("strong-outcome",
-                       help="strong outcome of a dead-ending game")
-    p.add_argument("game")
-    common(p)
-    p.set_defaults(func=cmd_strong_outcome)
 
-    p = sub.add_parser("sum", help="disjunctive sum of the arguments")
+def _add_sum(p):
     p.add_argument("game", nargs="+")
-    common(p)
-    p.set_defaults(func=cmd_sum)
 
-    p = sub.add_parser("conj", help="conjugate (swap the players)")
-    p.add_argument("game")
-    common(p)
-    p.set_defaults(func=cmd_conj)
 
-    p = sub.add_parser("compare", help="order two games in a universe")
+def _add_compare(p):
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--universe", required=True,
                    choices=("dicot", "dead-ending", "normal"))
-    common(p)
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("reduce", help="canonical form within a universe")
+
+def _add_reduce(p):
     p.add_argument("game")
     p.add_argument("--universe", required=True, choices=("dicot", "dead-ending"))
     p.add_argument("--trace", action="store_true",
                    help="also list the rewrite steps")
-    common(p)
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("distinguish",
-                       help="search for a context separating two games")
+
+def _add_budget(p):
+    p.add_argument("--max-rank", type=int, default=None)
+    p.add_argument("--max-options", type=int, default=None)
+
+
+def _add_distinguish(p):
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--universe", required=True, choices=("dicot", "dead-ending"))
-    budgeted(p)
-    common(p)
-    p.set_defaults(func=cmd_distinguish)
+    _add_budget(p)
 
-    p = sub.add_parser("enumerate", help="list a slice, or census it")
+
+def _add_enumerate(p):
     p.add_argument("--universe", required=True, choices=("dicot", "dead-ending"))
     p.add_argument("--census", action="store_true")
     p.add_argument("--seed", type=int, default=None,
                    help="default %d; only --census samples, a listing "
                         "refuses it" % core.DEFAULT_SEED)
-    budgeted(p)
-    common(p)
-    p.set_defaults(func=cmd_enumerate)
+    _add_budget(p)
 
-    p = sub.add_parser("verify", help="run a built-in verification scan")
+
+def _add_verify(p):
     p.add_argument("target",
                    choices=("murders", "conjugate", "uniqueness", "ends",
                             "embedding"))
@@ -352,16 +339,61 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="default %d; only uniqueness samples, the other "
                         "targets refuse it" % core.DEFAULT_SEED)
-    budgeted(p)
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    _add_budget(p)
 
+
+# Subcommand -> (help, argument adder, handler), in the order usage lists them.
+_COMMANDS = {
+    "parse": ("normalize a game expression", _add_game, cmd_parse),
+    "outcome": ("misère (default) or normal outcome", _add_outcome, cmd_outcome),
+    "strong-outcome": ("strong outcome of a dead-ending game", _add_game,
+                       cmd_strong_outcome),
+    "sum": ("disjunctive sum of the arguments", _add_sum, cmd_sum),
+    "conj": ("conjugate (swap the players)", _add_game, cmd_conj),
+    "compare": ("order two games in a universe", _add_compare, cmd_compare),
+    "reduce": ("canonical form within a universe", _add_reduce, cmd_reduce),
+    "distinguish": ("search for a context separating two games",
+                    _add_distinguish, cmd_distinguish),
+    "enumerate": ("list a slice, or census it", _add_enumerate, cmd_enumerate),
+    "verify": ("run a built-in verification scan", _add_verify, cmd_verify),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The argument parser, with every subcommand or only ``command``.
+
+    A query parses with the one subparser it names, which is faster to
+    build than all of them and parses it the same way.
+    """
+    top = argparse.ArgumentParser(
+        prog="misere",
+        description="Misère game algebra in the dicot and dead-ending universes.")
+    if command is None:
+        names = list(_COMMANDS)
+        sub = top.add_subparsers(dest="command", required=True)
+    else:
+        # The usage line lists every subcommand, as the full parser's does;
+        # the full parser keeps no metavar, which would also rename the
+        # argument in its "required" and "invalid choice" errors.
+        names = [command]
+        sub = top.add_subparsers(dest="command", required=True,
+                                 metavar="{%s}" % ",".join(_COMMANDS))
+    for name in names:
+        help_, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        add_arguments(p)
+        p.add_argument("--format", choices=("text", "structured"),
+                       default="text",
+                       help="structured prints one JSON document on stdout")
+        p.set_defaults(func=handler)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except notation.ParseError as e:

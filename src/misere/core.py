@@ -37,6 +37,77 @@ class ResourceError(RuntimeError):
     """A configured budget (node count, elaboration size) was exceeded."""
 
 
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass lists its fields, in order, as ``__slots__`` (annotating
+    each for type checkers) and their defaults in ``_defaults``; a callable default is called once per
+    record, so each gets a fresh value.  Fields are given positionally or
+    by keyword, and ``_check`` may refuse the values.  The repr is
+    ``Name(field=value, ...)``, records of the same class are equal when
+    their fields are, the hash is that of the field tuple, and fields
+    cannot be assigned or deleted.  It stands in for a frozen dataclass,
+    because importing dataclasses (and inspect with it) would lengthen
+    the start-up of every command-line query.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls.__slots__
+        if len(args) > len(names):
+            raise TypeError("%s takes %d arguments, got %d"
+                            % (cls.__name__, len(names), len(args)))
+        for name, value in zip(names, args):
+            if name in kwargs:
+                raise TypeError("%s got two values for %r" % (cls.__name__, name))
+            object.__setattr__(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in cls._defaults:
+                value = cls._defaults[name]
+                if callable(value):
+                    value = value()
+            else:
+                raise TypeError("%s is missing %r" % (cls.__name__, name))
+            object.__setattr__(self, name, value)
+        if kwargs:
+            raise TypeError("%s has no field %r" % (cls.__name__, next(iter(kwargs))))
+        self._check()
+
+    def _check(self) -> None:
+        """Raise if the fields do not make a valid record."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        # Copies and pickles rebuild through __init__, since the slots
+        # cannot be set one by one.
+        return type(self), self._values()
+
+
 class _Node:
     __slots__ = (
         "left", "right", "rank", "key",

@@ -21,7 +21,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import canonical, core, notation, ordering, outcomes
@@ -32,14 +31,20 @@ MAX_ENUM_RANK = 3
 DEFAULT_NODE_CAP = 500_000
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    max_rank: int = 2
-    max_options: int = 4
-    universe: Optional[Universe] = None
-    node_cap: int = DEFAULT_NODE_CAP
+class EnumerationBudget(core.Record):
+    """A slice to enumerate: games of rank at most max_rank with at most
+    max_options options per side, in universe (every game when None),
+    refused when a level would examine more than node_cap forms."""
 
-    def __post_init__(self):
+    __slots__ = ("max_rank", "max_options", "universe", "node_cap")
+    max_rank: int
+    max_options: int
+    universe: Optional[Universe]
+    node_cap: int
+    _defaults = {"max_rank": 2, "max_options": 4, "universe": None,
+                 "node_cap": DEFAULT_NODE_CAP}
+
+    def _check(self):
         if self.max_rank < 0:
             raise ValueError("max_rank must be a natural number")
         if self.max_rank > MAX_ENUM_RANK:
@@ -187,14 +192,17 @@ def _require_count(name: str, n: int) -> None:
         raise ValueError("%s must be at least 0, got %d" % (name, n))
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(core.Record):
+    """What a property scan checked; seed is None when it sampled nothing."""
+
+    __slots__ = ("name", "universe", "checked", "violations", "counts", "seed")
     name: str
     universe: Optional[str]
     checked: int
     violations: tuple
-    counts: dict = field(default_factory=dict)
-    seed: Optional[int] = None
+    counts: dict
+    seed: Optional[int]
+    _defaults = {"counts": dict, "seed": None}
 
     @property
     def ok(self) -> bool:
@@ -225,8 +233,13 @@ class ScanReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(core.Record):
+    """A census of one slice: its canonical classes, one representative
+    each, and the pairs checked against pairwise equivalence."""
+
+    __slots__ = ("universe", "total", "per_rank", "class_count",
+                 "representatives", "outcome_distribution", "invertible",
+                 "violations", "seed", "pairs_checked")
     universe: str
     total: int
     per_rank: dict

@@ -27,6 +27,10 @@ from .core import GameId, ResourceError
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 
+# The grammar's digits.  str.isdigit also accepts other scripts' digits
+# and superscripts, which int() then refuses or reads as another number.
+_DIGITS = frozenset("0123456789")
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
@@ -46,7 +50,9 @@ class _Parser:
         self.baseline = len(core._NODES)
 
     def error(self, message: str):
-        raise ParseError(message, self.pos)
+        # The offset counts UTF-8 bytes, not characters: skipped Unicode
+        # whitespace takes more than one byte.
+        raise ParseError(message, len(self.text[:self.pos].encode("utf-8")))
 
     def check_budget(self):
         if len(core._NODES) - self.baseline > self.max_nodes:
@@ -124,13 +130,13 @@ class _Parser:
             g = core.murder(n)
             self.check_budget()
             return g
-        if ch == "-" or ch.isdigit():
+        if ch == "-" or ch in _DIGITS:
             start = self.pos
             sign = 1
             if ch == "-":
                 self.pos += 1
                 sign = -1
-                if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
+                if self.pos >= len(self.text) or self.text[self.pos] not in _DIGITS:
                     self.pos = start
                     self.error("expected digits after '-'")
             n = sign * self.natural()
@@ -144,7 +150,7 @@ class _Parser:
     def natural(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             self.error("expected digits")

@@ -13,7 +13,6 @@ games outside the universe can still be probed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import core, outcomes
@@ -92,16 +91,16 @@ def definitional_ge_check(g: GameId, h: GameId, u: Universe,
     return True
 
 
-@dataclass(frozen=True)
-class Distinguisher:
+class Distinguisher(core.Record):
     """Result of a bounded search for a context telling two games apart.
 
     verdict is one of "holds" (equivalence confirmed), "fails-with-witness"
     (witness is a game x with outcome(g + x) != outcome(h + x)), or
     "inconclusive" (no witness within the budget, equivalence not
-    confirmed).
+    confirmed).  budget is the pair (max_rank, max_options) searched.
     """
 
+    __slots__ = ("verdict", "witness", "budget")
     verdict: str
     witness: Optional[GameId]
     budget: tuple

@@ -57,6 +57,12 @@ class Outcome(enum.Enum):
         return self.name
 
 
+# The outcome of a pair of results, indexed [left][right]: indexing skips
+# the value lookup of Outcome((left, right)), the bulk of a memo hit.
+_OUTCOMES = tuple(tuple(Outcome((left, right)) for right in Result)
+                  for left in Result)
+
+
 def outcome_ge(a: Outcome, b: Outcome) -> bool:
     """Partial order on outcomes: at least as good for Left, both ways round."""
     return a.left >= b.left and a.right >= b.right
@@ -133,7 +139,7 @@ def right_result(g: GameId) -> Result:
 
 def outcome(g: GameId) -> Outcome:
     """Misère outcome of g."""
-    return Outcome((_mis_left(g), _mis_right(g)))
+    return _OUTCOMES[_mis_left(g)][_mis_right(g)]
 
 
 def normal_left_result(g: GameId) -> Result:
@@ -148,7 +154,7 @@ def normal_right_result(g: GameId) -> Result:
 
 def normal_outcome(g: GameId) -> Outcome:
     """Normal-play outcome of g."""
-    return Outcome((_nor_left(g), _nor_right(g)))
+    return _OUTCOMES[_nor_left(g)][_nor_right(g)]
 
 
 def sum_left_result(g: GameId, h: GameId) -> Result:
@@ -163,7 +169,7 @@ def sum_right_result(g: GameId, h: GameId) -> Result:
 
 def sum_outcome(g: GameId, h: GameId) -> Outcome:
     """outcome(add(g, h)), without interning the sum."""
-    return Outcome((_mis_left(g, h), _mis_right(g, h)))
+    return _OUTCOMES[_mis_left(g, h)][_mis_right(g, h)]
 
 
 def normal_sum_left_result(g: GameId, h: GameId) -> Result:
@@ -197,8 +203,8 @@ def strong_outcome(g: GameId) -> Outcome:
         else:
             left_attack = core.murder(k - 1)
             right_attack = core.conjugate(left_attack)
-            o = Outcome((min(_mis_left(g), _mis_left(g, left_attack)),
-                         max(_mis_right(g), _mis_right(g, right_attack))))
+            o = _OUTCOMES[min(_mis_left(g), _mis_left(g, left_attack))][
+                max(_mis_right(g), _mis_right(g, right_attack))]
         _STRONG[g] = o
     return o
 

@@ -278,3 +278,44 @@ def test_enumerate_census_reports_the_seed_it_used(capsys):
     assert code == 0 and json.loads(out)["seed"] == 1729
     code, out, _ = run(capsys, "enumerate", "--seed", "5", *budget)
     assert code == 0 and json.loads(out)["seed"] == 5
+
+
+@pytest.mark.parametrize("game", ["²", "１", "M(٣)"])
+def test_non_ascii_digits_are_notation_errors(capsys, game):
+    code, out, err = run(capsys, "parse", game)
+    assert (code, out) == (3, "")
+    assert err.startswith("notation error: ") and "Traceback" not in err
+
+
+def test_parse_error_offset_counts_utf8_bytes(capsys):
+    code, _, err = run(capsys, "outcome", "{0|\u3000")
+    assert (code, err) == (3, "notation error: expected a game at byte 6\n")
+
+
+def _help(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        parser.parse_args(argv)
+    assert exit_.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_one_subparser_parses_and_prints_as_all_of_them(capsys, name):
+    lean, full = cli.build_parser(name), cli.build_parser()
+    assert lean.format_usage() == full.format_usage()
+    assert _help(lean, [name, "-h"], capsys) == _help(full, [name, "-h"], capsys)
+
+
+def test_usage_errors_print_the_full_usage(capsys):
+    usage = cli.build_parser().format_usage()
+    assert "{parse,outcome," in usage
+    for argv, message in (
+            (["compare", "1", "2", "--universe", "dicot", "--bogus"],
+             "misere: error: unrecognized arguments: --bogus\n"),
+            (["nope"], "misere: error: argument command: invalid choice: 'nope'"),
+            ([], "misere: error: the following arguments are required: command\n")):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2
+        assert err.startswith(usage) and message in err, argv

@@ -169,3 +169,30 @@ def test_interchange_rejects_malformed_documents():
         misere.from_interchange({"L": [{"L": []}], "R": []})
     with pytest.raises(InterchangeError):
         misere.from_interchange([])
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("²", 0),
+    ("１", 0),
+    ("-٣", 0),
+    ("M(٣)", 2),
+    ("1+²", 2),
+])
+def test_only_ascii_digits_are_digits(text, offset):
+    # str.isdigit accepts these; int() refuses '²' and reads '１' as 1.
+    with pytest.raises(ParseError) as err:
+        misere.parse(text)
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("\u00a0?", 2),
+    ("1 +\u3000?", 6),
+    ("{0|\u2003", 6),
+])
+def test_parse_error_offsets_count_utf8_bytes(text, offset):
+    # Unicode whitespace is skipped but takes more than one byte.
+    with pytest.raises(ParseError) as err:
+        misere.parse(text)
+    assert err.value.offset == offset
+    assert "byte %d" % offset in str(err.value)
