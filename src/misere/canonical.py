@@ -163,12 +163,15 @@ def bypass_open_reversible(g: GameId, a: GameId, b: GameId, u: Universe) -> Game
     raise DomainError("not an open reversible option of the game")
 
 
-def _is_fundamental(g: GameId, a: GameId, side: str) -> bool:
-    """is_fundamental_left, or its mirror, for the option a on side."""
+def _require_option(g: GameId, a: GameId, side: str) -> None:
     core.require_member(g, Universe.DEAD_ENDING)
-    opts = _options(g, side)
-    if a not in opts:
+    if a not in _options(g, side):
         raise ValueError("not a %s option of the game" % _NAME[side])
+
+
+def _is_fundamental(g: GameId, a: GameId, side: str) -> bool:
+    """is_fundamental_left, or its mirror, for an option a of dead-ending g."""
+    opts = _options(g, side)
     if len(opts) == 1:
         return False
     strong = outcomes.strong_left_outcome if side == "L" \
@@ -185,11 +188,13 @@ def is_fundamental_left(g: GameId, a: GameId) -> bool:
     first always wins with any dead Left-end alongside, so a lone option
     is never fundamental.
     """
+    _require_option(g, a, "L")
     return _is_fundamental(g, a, "L")
 
 
 def is_fundamental_right(g: GameId, a: GameId) -> bool:
     """Mirror of is_fundamental_left for Right options."""
+    _require_option(g, a, "R")
     return _is_fundamental(g, a, "R")
 
 

@@ -220,22 +220,28 @@ def cmd_distinguish(args) -> int:
     return EXIT_OK
 
 
+def _census(args, lab) -> int:
+    """enumerate --census and verify uniqueness: the census of the slice
+    the flags and environment give, sampled with --seed or the default
+    seed; exit 1 on violations."""
+    u = Universe(args.universe)
+    budget = lab.EnumerationBudget(*_resolve_budget(args), u)
+    seed = core.DEFAULT_SEED if args.seed is None else args.seed
+    report = lab.census(budget, seed=seed)
+    _emit(args, report.to_doc, report.render_text)
+    return EXIT_OK if report.ok else EXIT_VIOLATIONS
+
+
 def cmd_enumerate(args) -> int:
     from . import lab
 
     if not args.census and args.seed is not None:
         raise UsageError("enumerate draws no sample without --census; "
                          "--seed does not apply")
-    u = Universe(args.universe)
-    max_rank, max_options = _resolve_budget(args)
-    budget = lab.EnumerationBudget(max_rank=max_rank, max_options=max_options,
-                                   universe=u)
     if args.census:
-        seed = core.DEFAULT_SEED if args.seed is None else args.seed
-        report = lab.census(budget, seed=seed)
-        _emit(args, report.to_doc, report.render_text)
-        return EXIT_OK if report.ok else EXIT_VIOLATIONS
-    games = lab.enumerate_games(budget)
+        return _census(args, lab)
+    u = Universe(args.universe)
+    games = lab.enumerate_games(lab.EnumerationBudget(*_resolve_budget(args), u))
     names = [notation.print_game(g, "named") for g in games]
     _emit(args, lambda: {"universe": u.value, "count": len(games), "games": names},
           lambda: "\n".join(names))
@@ -264,12 +270,7 @@ def cmd_verify(args) -> int:
         report = lab.scan_conjugate_property(Universe(args.universe),
                                              *_resolve_budget(args))
     elif target == "uniqueness":
-        u = Universe(args.universe)
-        max_rank, max_options = _resolve_budget(args)
-        budget = lab.EnumerationBudget(max_rank=max_rank,
-                                       max_options=max_options, universe=u)
-        seed = core.DEFAULT_SEED if args.seed is None else args.seed
-        report = lab.census(budget, seed=seed)
+        return _census(args, lab)
     elif target == "ends":
         report = lab.scan_end_invertibility()
     elif target == "embedding":

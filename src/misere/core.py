@@ -12,11 +12,20 @@ The structural order used for sorting option sets compares, in turn: the
 rank (tree height), the number of Left options, the number of Right
 options, and then the child keys themselves, lexicographically.  It is a
 total order on interned games.
+
+The table is kept as parallel columns indexed by id: ``_NODES[g]`` is
+the pair (Left options, Right options), the same tuple object that keys
+``_TABLE``; ``_RANK[g]`` and ``_KEY[g]`` are the rank and the structural
+key; ``_FLAGS[g]`` packs the membership predicates into one small int.
+``mk_game`` appends ``_NODES`` after the other columns and writes
+``_TABLE`` last, so an id that ``_validate_ids`` admits (it is bounded by
+``len(_NODES)``) or that a lookup returns always has all its columns.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import operator
 import threading
 from typing import Iterable, Optional
@@ -108,33 +117,16 @@ class Record:
         return type(self), self._values()
 
 
-class _Node:
-    __slots__ = (
-        "left", "right", "rank", "key",
-        "dicot", "dead_ending", "dead_left_end", "dead_right_end",
-        "impartial",
-    )
-
-    def __init__(self, left, right, rank, key, dicot, dead_ending,
-                 dead_left_end, dead_right_end, impartial):
-        self.left = left
-        self.right = right
-        self.rank = rank
-        self.key = key
-        self.dicot = dicot
-        self.dead_ending = dead_ending
-        self.dead_left_end = dead_left_end
-        self.dead_right_end = dead_right_end
-        self.impartial = impartial
-
-
 _LOCK = threading.RLock()
 _NODES: list = []
+_RANK: list = []
+_KEY: list = []
+_FLAGS: list = []
 _TABLE: dict = {}
 
-
-def _node(g: GameId) -> _Node:
-    return _NODES[g]
+# The bits of _FLAGS[g].
+_DICOT, _DEAD_ENDING, _DEAD_LEFT_END, _DEAD_RIGHT_END, _IMPARTIAL = 1, 2, 4, 8, 16
+_ALL = 31
 
 
 def _validate_ids(ids) -> None:
@@ -147,7 +139,7 @@ def _validate_ids(ids) -> None:
 def _normalize(ids: Iterable[GameId]) -> tuple:
     ids = list(ids)
     _validate_ids(ids)
-    return tuple(sorted(set(ids), key=lambda i: _NODES[i].key))
+    return tuple(sorted(set(ids), key=_KEY.__getitem__))
 
 
 def mk_game(left: Iterable[GameId], right: Iterable[GameId]) -> GameId:
@@ -158,32 +150,35 @@ def mk_game(left: Iterable[GameId], right: Iterable[GameId]) -> GameId:
     """
     lt = _normalize(left)
     rt = _normalize(right)
-    found = _TABLE.get((lt, rt))
+    pair = (lt, rt)
+    found = _TABLE.get(pair)
     if found is not None:
         return found
     with _LOCK:
-        found = _TABLE.get((lt, rt))
+        found = _TABLE.get(pair)
         if found is not None:
             return found
-        ln = [_NODES[i] for i in lt]
-        rn = [_NODES[i] for i in rt]
-        opts = ln + rn
-        rank = 1 + max(c.rank for c in opts) if opts else 0
-        dead_left = not lt and all(c.dead_left_end for c in rn)
-        dead_right = not rt and all(c.dead_right_end for c in ln)
-        if not lt or not rt:
-            dead_ending = dead_left or dead_right
-        else:
-            dead_ending = all(c.dead_ending for c in opts)
-        dicot = (not lt and not rt) or (
-            bool(lt) and bool(rt) and all(c.dicot for c in opts))
-        impartial = lt == rt and all(c.impartial for c in ln)
-        key = (rank, len(lt), len(rt)) + tuple(c.key for c in opts)
-        node = _Node(lt, rt, rank, key, dicot, dead_ending,
-                     dead_left, dead_right, impartial)
+        opts = lt + rt
+        # The flags that every Left option, and every Right option, carries.
+        fl = functools.reduce(operator.and_, map(_FLAGS.__getitem__, lt), _ALL)
+        fr = functools.reduce(operator.and_, map(_FLAGS.__getitem__, rt), _ALL)
+        if lt and rt:  # membership is inherited from the options
+            flags = fl & fr & (_DICOT | _DEAD_ENDING)
+            if lt == rt:
+                flags |= fl & _IMPARTIAL
+        elif rt:  # a Left-end, dead when its Right options are
+            flags = _DEAD_LEFT_END | _DEAD_ENDING if fr & _DEAD_LEFT_END else 0
+        elif lt:  # the mirror image
+            flags = _DEAD_RIGHT_END | _DEAD_ENDING if fl & _DEAD_RIGHT_END else 0
+        else:  # the empty game
+            flags = _ALL
+        rank = 1 + max(map(_RANK.__getitem__, opts)) if opts else 0
         gid = len(_NODES)
-        _NODES.append(node)
-        _TABLE[(lt, rt)] = gid
+        _RANK.append(rank)
+        _KEY.append((rank, len(lt), len(rt)) + tuple(map(_KEY.__getitem__, opts)))
+        _FLAGS.append(flags)
+        _NODES.append(pair)
+        _TABLE[pair] = gid
         return gid
 
 
@@ -243,16 +238,16 @@ def murder(n: int) -> GameId:
 
 
 def left_options(g: GameId) -> tuple:
-    return _node(g).left
+    return _NODES[g][0]
 
 
 def right_options(g: GameId) -> tuple:
-    return _node(g).right
+    return _NODES[g][1]
 
 
 def rank(g: GameId) -> int:
     """Height of the game tree; 0 exactly for the empty game."""
-    return _node(g).rank
+    return _RANK[g]
 
 
 _CONJ: dict = {}
@@ -262,9 +257,9 @@ def conjugate(g: GameId) -> GameId:
     """Swap the roles of the players throughout the tree."""
     r = _CONJ.get(g)
     if r is None:
-        node = _node(g)
-        r = mk_game(tuple(conjugate(x) for x in node.right),
-                    tuple(conjugate(x) for x in node.left))
+        lt, rt = _NODES[g]
+        r = mk_game(tuple(conjugate(x) for x in rt),
+                    tuple(conjugate(x) for x in lt))
         _CONJ.setdefault(g, r)
         _CONJ.setdefault(r, g)
     return r
@@ -282,52 +277,52 @@ def add(g: GameId, h: GameId) -> GameId:
     pair = (g, h) if g <= h else (h, g)
     r = _SUMS.get(pair)
     if r is None:
-        gn = _node(g)
-        hn = _node(h)
-        left = [add(x, h) for x in gn.left] + [add(g, y) for y in hn.left]
-        right = [add(x, h) for x in gn.right] + [add(g, y) for y in hn.right]
+        gl, gr = _NODES[g]
+        hl, hr = _NODES[h]
+        left = [add(x, h) for x in gl] + [add(g, y) for y in hl]
+        right = [add(x, h) for x in gr] + [add(g, y) for y in hr]
         r = _SUMS.setdefault(pair, mk_game(left, right))
     return r
 
 
 def is_left_end(g: GameId) -> bool:
     """No Left options."""
-    return not _node(g).left
+    return not _NODES[g][0]
 
 
 def is_right_end(g: GameId) -> bool:
     """No Right options."""
-    return not _node(g).right
+    return not _NODES[g][1]
 
 
 def is_dead_left_end(g: GameId) -> bool:
     """Every follower (the game included) is a Left-end."""
-    return _node(g).dead_left_end
+    return _FLAGS[g] & _DEAD_LEFT_END != 0
 
 
 def is_dead_right_end(g: GameId) -> bool:
     """Every follower (the game included) is a Right-end."""
-    return _node(g).dead_right_end
+    return _FLAGS[g] & _DEAD_RIGHT_END != 0
 
 
 def is_dicot(g: GameId) -> bool:
     """Every subposition has either both sides empty or both non-empty."""
-    return _node(g).dicot
+    return _FLAGS[g] & _DICOT != 0
 
 
 def is_dead_ending(g: GameId) -> bool:
     """Every end reachable from the game (itself included) is dead."""
-    return _node(g).dead_ending
+    return _FLAGS[g] & _DEAD_ENDING != 0
 
 
 def is_impartial(g: GameId) -> bool:
     """Both players have the same options everywhere in the tree."""
-    return _node(g).impartial
+    return _FLAGS[g] & _IMPARTIAL != 0
 
 
 def structural_key(g: GameId):
     """Sort key realizing the global structural order on interned games."""
-    return _node(g).key
+    return _KEY[g]
 
 
 def followers(g: GameId) -> list:
@@ -339,9 +334,9 @@ def followers(g: GameId) -> list:
         if x in seen:
             continue
         seen.add(x)
-        node = _node(x)
-        stack.extend(node.left)
-        stack.extend(node.right)
+        lt, rt = _NODES[x]
+        stack.extend(lt)
+        stack.extend(rt)
     return sorted(seen, key=structural_key)
 
 

@@ -432,16 +432,12 @@ def scan_conjugate_property(universe: Universe, max_rank: int = 2,
             inverse_pairs += 1
             if core.is_impartial(g) and core.is_impartial(h):
                 impartial_pairs += 1
-            if not ordering.equivalent(h, core.conjugate(g), u):
-                violations.append(
-                    "%s + %s ~ 0 but %s !~ conjugate(%s)" % (
-                        notation.print_game(g), notation.print_game(h),
-                        notation.print_game(h), notation.print_game(g)))
-            if not ordering.equivalent(g, core.conjugate(h), u):
-                violations.append(
-                    "%s + %s ~ 0 but %s !~ conjugate(%s)" % (
-                        notation.print_game(g), notation.print_game(h),
-                        notation.print_game(g), notation.print_game(h)))
+            for x, y in ((h, g), (g, h)):
+                if not ordering.equivalent(x, core.conjugate(y), u):
+                    violations.append(
+                        "%s + %s ~ 0 but %s !~ conjugate(%s)" % (
+                            notation.print_game(g), notation.print_game(h),
+                            notation.print_game(x), notation.print_game(y)))
     return ScanReport("conjugate", u.value, checked, tuple(violations),
                       {"games": len(games), "inverse_pairs": inverse_pairs,
                        "impartial_inverse_pairs": impartial_pairs})

@@ -24,6 +24,15 @@ def rank(t):
 
 
 @lru_cache(maxsize=None)
+def structural_key(t):
+    """Rank, the number of Left options, the number of Right options, then
+    the keys of the Left options and of the Right options, each sorted."""
+    l, r = t
+    return ((rank(t), len(l), len(r)) + tuple(sorted(map(structural_key, l)))
+            + tuple(sorted(map(structural_key, r))))
+
+
+@lru_cache(maxsize=None)
 def conjugate(t):
     l, r = t
     return (frozenset(conjugate(x) for x in r),

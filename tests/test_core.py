@@ -180,6 +180,18 @@ def test_structural_key_orders_by_rank_first():
     assert ks == sorted(ks)
 
 
+@pytest.mark.parametrize("budget", [
+    misere.EnumerationBudget(2, 2),
+    misere.EnumerationBudget(2, 4, Universe.DEAD_ENDING),
+], ids=["all", "dead-ending"])
+def test_structural_order_matches_naive_key(budget):
+    games = misere.enumerate_games(budget)
+    naive_keys = {g: naive.structural_key(naive.reflect(g)) for g in games}
+    assert len(set(naive_keys.values())) == len(games)
+    assert sorted(games, key=misere.structural_key) == \
+        sorted(games, key=naive_keys.__getitem__)
+
+
 def test_interning_is_thread_safe():
     out = []
 
