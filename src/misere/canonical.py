@@ -11,9 +11,11 @@ Three families of rewrites preserve equivalence within a universe:
   removed, replaced by a star, or replaced by a one-move end, depending
   on the universe.
 
-Each rule is written once, with the side it acts on as a parameter: the
-public step functions and the fixpoint loop call the same per-side
-steps, and Right is Left with the options and the order swapped.
+Each rule is written once and takes the side it acts on, ``_LEFT`` or
+``_RIGHT``: a record, bound once at import, of all that differs between
+the players, from their options to their murder and their at_least per
+universe.  The public step functions and the fixpoint loop call the same
+per-side steps, and Right is Left with each field swapped.
 
 ``canonical_form`` applies these bottom-up to a fixpoint.  Equivalent
 games in the same universe reach the same interned id, so equivalence of
@@ -22,6 +24,7 @@ canonicalized games is id equality.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Optional
 
 from . import core, ordering, outcomes
@@ -65,48 +68,44 @@ class ReversibleOption(core.Record):
         return not self.open
 
 
-_SIDES = ("L", "R")
-_OTHER = {"L": "R", "R": "L"}
-_NAME = {"L": "Left", "R": "Right"}
+_LEFT = SimpleNamespace(
+    name="L", title="Left", options=core.left_options,
+    replace=lambda g, opts: core.mk_game(opts, core.right_options(g)),
+    wins=Result.L, strong=outcomes.strong_left_outcome,
+    reply=outcomes.right_result, murder=core.murder,
+    at_least={u: ge for u, (ge, le) in ordering._COMPARE.items()})
+_RIGHT = SimpleNamespace(
+    name="R", title="Right", options=core.right_options, other=_LEFT,
+    replace=lambda g, opts: core.mk_game(core.left_options(g), opts),
+    wins=Result.R, strong=outcomes.strong_right_outcome,
+    reply=outcomes.left_result, murder=lambda n: core.conjugate(core.murder(n)),
+    at_least={u: le for u, (ge, le) in ordering._COMPARE.items()})
+_LEFT.other = _RIGHT
+_SIDES = (_LEFT, _RIGHT)
 
 
-def _options(g: GameId, side: str) -> tuple:
-    """The options of g for the player named by side."""
-    return core.left_options(g) if side == "L" else core.right_options(g)
-
-
-def _replace(g: GameId, side: str, opts) -> GameId:
-    """g with the options of side replaced by opts."""
-    if side == "L":
-        return core.mk_game(opts, core.right_options(g))
-    return core.mk_game(core.left_options(g), opts)
-
-
-def _at_least(a: GameId, b: GameId, side: str, u: Universe) -> bool:
-    """Is a at least as good as b for the player named by side?"""
-    return ordering._ge(a, b, u) if side == "L" else ordering._ge(b, a, u)
-
-
-def _reversions(g: GameId, side: str, u: Universe):
+def _reversions(g: GameId, side: SimpleNamespace, u: Universe):
     """Each (A, B), in structural order, where the option A of g on side
     reverts through B: an opponent's option of A no better than g for A's owner."""
-    for a in _options(g, side):
-        for b in _options(a, _OTHER[side]):
-            if _at_least(g, b, side, u):
+    at_least = side.at_least[u]
+    for a in side.options(g):
+        for b in side.other.options(a):
+            if at_least(g, b):
                 yield a, b
 
 
-def _undominated(g: GameId, side: str, u: Universe) -> GameId:
+def _undominated(g: GameId, side: SimpleNamespace, u: Universe) -> GameId:
     """g without the options on side that a remaining sibling dominates,
     or g itself when none is."""
-    opts = _options(g, side)
+    at_least = side.at_least[u]
+    opts = side.options(g)
     kept = []
     for a in opts:
-        if any(_at_least(b, a, side, u) for b in kept):
+        if any(at_least(b, a) for b in kept):
             continue
-        kept = [b for b in kept if not _at_least(a, b, side, u)]
+        kept = [b for b in kept if not at_least(a, b)]
         kept.append(a)
-    return g if len(kept) == len(opts) else _replace(g, side, kept)
+    return g if len(kept) == len(opts) else side.replace(g, kept)
 
 
 def remove_dominated(g: GameId, u: Universe) -> GameId:
@@ -115,7 +114,7 @@ def remove_dominated(g: GameId, u: Universe) -> GameId:
     Mutually equivalent options collapse to the structurally least one.
     """
     core.require_member(g, u)
-    return _undominated(_undominated(g, "L", u), "R", u)
+    return _undominated(_undominated(g, _LEFT, u), _RIGHT, u)
 
 
 def find_reversible(g: GameId, side: str, u: Universe) -> Optional[ReversibleOption]:
@@ -126,23 +125,24 @@ def find_reversible(g: GameId, side: str, u: Universe) -> Optional[ReversibleOpt
     position is a dead end for that player.
     """
     core.require_member(g, u)
-    if side not in _SIDES:
+    player = next((s for s in _SIDES if s.name == side), None)
+    if player is None:
         raise ValueError("side must be 'L' or 'R'")
-    for a, b in _reversions(g, side, u):
-        return ReversibleOption(a, b, bool(_options(b, side)))
+    for a, b in _reversions(g, player, u):
+        return ReversibleOption(a, b, bool(player.options(b)))
     return None
 
 
-def _splice(g: GameId, a: GameId, b: GameId, side: str) -> GameId:
+def _splice(g: GameId, a: GameId, b: GameId, side: SimpleNamespace) -> GameId:
     """g with its option a on side replaced by the options of b on side."""
-    rest = [x for x in _options(g, side) if x != a]
-    return _replace(g, side, rest + list(_options(b, side)))
+    rest = [x for x in side.options(g) if x != a]
+    return side.replace(g, rest + list(side.options(b)))
 
 
-def _bypass_first_open(g: GameId, side: str, u: Universe) -> GameId:
+def _bypass_first_open(g: GameId, side: SimpleNamespace, u: Universe) -> GameId:
     """g with its first open reversible option on side bypassed, or g."""
     for a, b in _reversions(g, side, u):
-        if _options(b, side):
+        if side.options(b):
             return _splice(g, a, b, side)
     return g
 
@@ -156,29 +156,26 @@ def bypass_open_reversible(g: GameId, a: GameId, b: GameId, u: Universe) -> Game
     core.require_member(g, u)
     reverting = [side for side in _SIDES if (a, b) in _reversions(g, side, u)]
     for side in reverting:
-        if _options(b, side):
+        if side.options(b):
             return _splice(g, a, b, side)
     if reverting:
         raise DomainError("option reverts through an end; cannot bypass")
     raise DomainError("not an open reversible option of the game")
 
 
-def _require_option(g: GameId, a: GameId, side: str) -> None:
+def _checked_fundamental(g: GameId, a: GameId, side: SimpleNamespace) -> bool:
+    """_is_fundamental, once g is dead-ending and a is an option on side."""
     core.require_member(g, Universe.DEAD_ENDING)
-    if a not in _options(g, side):
-        raise ValueError("not a %s option of the game" % _NAME[side])
+    if a not in side.options(g):
+        raise ValueError("not a %s option of the game" % side.title)
+    return _is_fundamental(g, a, side)
 
 
-def _is_fundamental(g: GameId, a: GameId, side: str) -> bool:
+def _is_fundamental(g: GameId, a: GameId, side: SimpleNamespace) -> bool:
     """is_fundamental_left, or its mirror, for an option a of dead-ending g."""
-    opts = _options(g, side)
-    if len(opts) == 1:
-        return False
-    strong = outcomes.strong_left_outcome if side == "L" \
-        else outcomes.strong_right_outcome
-    win = Result[side]
-    return strong(g) == win and \
-        strong(_replace(g, side, [x for x in opts if x != a])) != win
+    opts = side.options(g)
+    return len(opts) > 1 and side.strong(g) == side.wins and \
+        side.strong(side.replace(g, [x for x in opts if x != a])) != side.wins
 
 
 def is_fundamental_left(g: GameId, a: GameId) -> bool:
@@ -188,28 +185,26 @@ def is_fundamental_left(g: GameId, a: GameId) -> bool:
     first always wins with any dead Left-end alongside, so a lone option
     is never fundamental.
     """
-    _require_option(g, a, "L")
-    return _is_fundamental(g, a, "L")
+    return _checked_fundamental(g, a, _LEFT)
 
 
 def is_fundamental_right(g: GameId, a: GameId) -> bool:
     """Mirror of is_fundamental_left for Right options."""
-    _require_option(g, a, "R")
-    return _is_fundamental(g, a, "R")
+    return _checked_fundamental(g, a, _RIGHT)
 
 
-def _least_murder(g: GameId, side: str) -> tuple:
+def _least_murder(g: GameId, side: SimpleNamespace) -> tuple:
     """(n, m) for the least n such that g is at least as good for side's
     player as m, the murder of index n that is a dead end for them."""
     ends = [core.rank(b) for _, b in _reversions(g, side, Universe.DEAD_ENDING)
-            if not _options(b, side)]
-    if not ends and _options(g, side):
+            if not side.options(b)]
+    if not ends and side.options(g):
         raise DomainError("game has no %s option reverting through a %s-end"
-                          % (_NAME[side], _NAME[side]))
+                          % (side.title, side.title))
     bound = min(ends) if ends else core.rank(g)
     for n in range(bound + 1):
-        m = core.murder(n) if side == "L" else core.conjugate(core.murder(n))
-        if _at_least(g, m, side, Universe.DEAD_ENDING):
+        m = side.murder(n)
+        if side.at_least[Universe.DEAD_ENDING](g, m):
             return n, m
     raise RuntimeError("murder index scan exceeded its bound; every dead "
                        "end compares against a murder of index <= rank")
@@ -223,7 +218,7 @@ def minimal_murder_index(g: GameId) -> int:
     rank of that end.
     """
     core.require_member(g, Universe.DEAD_ENDING)
-    return _least_murder(g, "L")[0]
+    return _least_murder(g, _LEFT)[0]
 
 
 def _end_step(g: GameId, u: Universe) -> tuple:
@@ -233,31 +228,28 @@ def _end_step(g: GameId, u: Universe) -> tuple:
     """
     dicot = u is Universe.DICOT
     # options reverting through an end their owner is left in, each once
-    hits = {side: list(dict.fromkeys(a for a, b in _reversions(g, side, u)
-                                     if not _options(b, side)))
-            for side in _SIDES}
-    if all(hits[side] and len(_options(g, side)) == 1 for side in _SIDES):
+    hits = [(side, list(dict.fromkeys(a for a, b in _reversions(g, side, u)
+                                      if not side.options(b))))
+            for side in _SIDES]
+    if all(hit and len(side.options(g)) == 1 for side, hit in hits):
         return (RULE_STAR_PAIR_TO_ZERO if dicot else RULE_END_PAIR_REMOVE,
                 "LR", core.zero())
-    for side in _SIDES:
-        for a in hits[side]:
-            rest = [x for x in _options(g, side) if x != a]
+    for side, hit in hits:
+        for a in hit:
+            rest = [x for x in side.options(g) if x != a]
             if dicot:
-                reply = outcomes.right_result if side == "L" \
-                    else outcomes.left_result
-                if any(reply(x) == Result[side] for x in rest):
-                    return RULE_END_REMOVE, side, _replace(g, side, rest)
+                if any(side.reply(x) == side.wins for x in rest):
+                    return RULE_END_REMOVE, side.name, side.replace(g, rest)
                 target = core.star()
             else:
-                removed = _replace(g, side, rest)
+                removed = side.replace(g, rest)
                 if core.is_dead_ending(removed) and \
                         not _is_fundamental(g, a, side):
-                    return RULE_END_REMOVE, side, removed
-                target = _replace(core.zero(), _OTHER[side],
-                                  (_least_murder(g, side)[1],))
+                    return RULE_END_REMOVE, side.name, removed
+                target = side.other.replace(core.zero(), (_least_murder(g, side)[1],))
             if a != target:
                 return (RULE_SUBSTITUTE_STAR if dicot else RULE_SUBSTITUTE_MURDER,
-                        side, _replace(g, side, rest + [target]))
+                        side.name, side.replace(g, rest + [target]))
     return None, None, g
 
 
@@ -299,7 +291,7 @@ def _reduce_once(g: GameId, u: Universe) -> tuple:
         for side in _SIDES:
             nxt = step(g, side, u)
             if nxt != g:
-                return rule, side, nxt
+                return rule, side.name, nxt
     return _end_step(g, u)
 
 

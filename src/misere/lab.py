@@ -128,10 +128,12 @@ def enumerate_dead_left_ends(max_rank: int, max_options: Optional[int] = None,
 
 def enumerate_dead_right_ends(max_rank: int, max_options: Optional[int] = None,
                               node_cap: int = DEFAULT_NODE_CAP) -> list:
+    """Every dead Right-end of rank <= max_rank under the option cap."""
     return list(_dead_right_ends(max_rank, max_options, node_cap))
 
 
 def enumerate_dead_ends(max_rank: int, max_options: Optional[int] = None) -> list:
+    """Every dead end of rank <= max_rank under the option cap, in structural order."""
     both = set(enumerate_dead_left_ends(max_rank, max_options))
     both.update(enumerate_dead_right_ends(max_rank, max_options))
     return sorted(both, key=core.structural_key)

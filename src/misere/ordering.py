@@ -2,9 +2,10 @@
 
 ``ge(g, h, u)`` decides whether g is at least as good as h for Left in
 every sum context drawn from the universe u, without quantifying over
-contexts: it checks the base outcomes (plain outcomes for dicots, strong
-outcomes for dead-ending games) and then a pair of maintenance conditions
-on the options, recursing on strictly smaller total rank.
+contexts: it checks the base outcomes (plain for dicots, strong for
+dead-ending games) and then a pair of maintenance conditions on the
+options, recursing on strictly smaller total rank; ``_COMPARE[u]`` binds
+this once per universe, so the recursion never tests or hashes u.
 
 ``definitional_ge_check`` is the quantifier made literal over a finite
 test set; it exists so the subordinate test can be cross-validated and so
@@ -20,49 +21,51 @@ from .core import DomainError, GameId, Universe
 from .outcomes import (Result, outcome_ge, sum_left_result, sum_outcome,
                        sum_right_result)
 
-_GE: dict = {}
+
+def _comparison(base, memo: dict) -> tuple:
+    """The (ge, le) pair of one universe, on ids known to lie in it, closed
+    over its base outcome and its memo, which is keyed by the pair (g, h)."""
+    def ge(g: GameId, h: GameId) -> bool:
+        if g == h:
+            return True
+        r = memo.get((g, h))
+        if r is None:
+            r = memo[g, h] = outcome_ge(base(g), base(h)) and keeps_up(g, h)
+        return r
+
+    def le(g: GameId, h: GameId) -> bool:
+        return ge(h, g)
+
+    def keeps_up(g: GameId, h: GameId) -> bool:
+        # Left must keep up: every Left option of h is matched by a Left
+        # option of g, unless h's move can be answered through its own
+        # Right responses back below g.  Right must not gain: the same
+        # condition with the players swapped, on g's Right options.
+        for mine, theirs, own, reply, above in (
+                (g, h, core.left_options, core.right_options, ge),
+                (h, g, core.right_options, core.left_options, le)):
+            ours = own(mine)
+            for x in own(theirs):
+                if any(above(a, x) for a in ours):
+                    continue
+                if any(above(mine, b) for b in reply(x)):
+                    continue
+                return False
+        return True
+
+    return ge, le
+
+
+_GE_DICOT, _GE_DEAD_ENDING = {}, {}
+_COMPARE = {u: _comparison(outcomes._BASE[u], memo) for u, memo in (
+    (Universe.DICOT, _GE_DICOT), (Universe.DEAD_ENDING, _GE_DEAD_ENDING))}
 
 
 def ge(g: GameId, h: GameId, u: Universe) -> bool:
     """Does g >= h relative to the universe u?  Both games must lie in u."""
     core.require_member(g, u)
     core.require_member(h, u)
-    return _ge(g, h, u)
-
-
-def _ge(g: GameId, h: GameId, u: Universe) -> bool:
-    if g == h:
-        return True
-    key = (g, h, u)
-    r = _GE.get(key)
-    if r is None:
-        r = _ge_compute(g, h, u)
-        _GE[key] = r
-    return r
-
-
-def _le(g: GameId, h: GameId, u: Universe) -> bool:
-    return _ge(h, g, u)
-
-
-def _ge_compute(g: GameId, h: GameId, u: Universe) -> bool:
-    if not outcome_ge(outcomes.base_outcome(g, u), outcomes.base_outcome(h, u)):
-        return False
-    # Left must keep up: every Left option of h is matched by a Left
-    # option of g, unless h's move can be answered through its own
-    # Right responses back below g.  Right must not gain: the same
-    # condition with the players swapped, on g's Right options.
-    for mine, theirs, own, reply, above in (
-            (g, h, core.left_options, core.right_options, _ge),
-            (h, g, core.right_options, core.left_options, _le)):
-        ours = own(mine)
-        for x in own(theirs):
-            if any(above(a, x, u) for a in ours):
-                continue
-            if any(above(mine, b, u) for b in reply(x)):
-                continue
-            return False
-    return True
+    return _COMPARE[u][0](g, h)
 
 
 def equivalent(g: GameId, h: GameId, u: Universe) -> bool:

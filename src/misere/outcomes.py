@@ -219,6 +219,9 @@ def strong_right_outcome(g: GameId) -> Result:
     return strong_outcome(g).right
 
 
+_BASE = {Universe.DICOT: outcome, Universe.DEAD_ENDING: strong_outcome}
+
+
 def base_outcome(g: GameId, u: Universe) -> Outcome:
-    """The outcome a universe-relative comparison starts from."""
-    return outcome(g) if u is Universe.DICOT else strong_outcome(g)
+    """The outcome a comparison in u starts from, as ordering binds it."""
+    return _BASE[u](g)

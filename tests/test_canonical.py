@@ -41,6 +41,12 @@ def test_find_reversible_none_cases():
         misere.find_reversible(misere.star(), "left", D)
 
 
+@pytest.mark.parametrize("side", ["LR", "", None, ["L"]])
+def test_find_reversible_refuses_other_sides(side):
+    with pytest.raises(ValueError):
+        misere.find_reversible(misere.star(), side, D)
+
+
 def test_find_reversible_classifies_open_and_end():
     # in {*|*} the left option * reverses through 0, a Left-end
     r = misere.find_reversible(misere.parse("{*|*}"), "L", D)

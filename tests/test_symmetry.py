@@ -69,6 +69,13 @@ def test_reversible_options_mirror(games):
             (misere.find_reversible(c, "R", u) is None)
 
 
+def test_canonical_forms_mirror(games):
+    u, gs = games
+    for g in gs:
+        assert misere.canonical_form(misere.conjugate(g), u) == \
+            misere.conjugate(misere.canonical_form(g, u))
+
+
 PAIR_SLICES = {
     "rank-2 dicot": EnumerationBudget(2, 4, D),
     "rank-2 dead-ending": EnumerationBudget(2, 4, E),
