@@ -19,7 +19,9 @@ per-side steps, and Right is Left with each field swapped.
 
 ``canonical_form`` applies these bottom-up to a fixpoint.  Equivalent
 games in the same universe reach the same interned id, so equivalence of
-canonicalized games is id equality.
+canonicalized games is id equality.  ``_CANON`` memoises the form of
+each game and of each game rebuilt on its canonical options, which many
+games share; ``canonical_form_traced`` reads neither.
 """
 
 from __future__ import annotations
@@ -324,6 +326,12 @@ def _canonical(g: GameId, u: Universe, trace) -> GameId:
     left = [_canonical(x, u, trace) for x in core.left_options(g)]
     right = [_canonical(x, u, trace) for x in core.right_options(g)]
     cur = core.mk_game(left, right)
+    if trace is None:
+        # Games that differ only below canonical children meet here.
+        hit = _CANON.get((cur, u))
+        if hit is not None:
+            _CANON[key] = hit
+            return hit
     for _ in range(_PASS_CAP):
         rule, side, nxt = _reduce_once(cur, u)
         if nxt == cur:

@@ -16,7 +16,8 @@ total order on interned games.
 The table is kept as parallel columns indexed by id: ``_NODES[g]`` is
 the pair (Left options, Right options), the same tuple object that keys
 ``_TABLE``; ``_RANK[g]`` and ``_KEY[g]`` are the rank and the structural
-key; ``_FLAGS[g]`` packs the membership predicates into one small int.
+key; ``_FLAGS[g]`` packs the membership predicates into one small int,
+and each ``Universe`` member carries the bit that marks its games.
 ``mk_game`` appends ``_NODES`` after the other columns and writes
 ``_TABLE`` last, so an id that ``_validate_ids`` admits (it is bounded by
 ``len(_NODES)``) or that a lookup returns always has all its columns.
@@ -341,19 +342,28 @@ def followers(g: GameId) -> list:
 
 
 class Universe(enum.Enum):
-    """A parentally closed family of games used to relativize comparisons."""
+    """A parentally closed family of games used to relativize comparisons.
 
-    DICOT = "dicot"
-    DEAD_ENDING = "dead-ending"
+    Each member's value is its name on the command line, and its ``bit``
+    is the ``_FLAGS`` bit that marks the games it contains, so a
+    membership test is one index and one AND.
+    """
+
+    DICOT = "dicot", _DICOT
+    DEAD_ENDING = "dead-ending", _DEAD_ENDING
+
+    def __new__(cls, value: str, bit: int):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.bit = bit
+        return member
 
     def contains(self, g: GameId) -> bool:
-        if self is Universe.DICOT:
-            return is_dicot(g)
-        return is_dead_ending(g)
+        return _FLAGS[g] & self.bit != 0
 
 
 def require_member(g: GameId, u: Universe) -> None:
-    if not u.contains(g):
+    if not _FLAGS[g] & u.bit:
         from . import notation
         raise DomainError("game %s is not %s"
                           % (notation.print_game(g, "brace"), u.value))

@@ -304,7 +304,9 @@ def census(budget: Optional[EnumerationBudget] = None, *,
     replays pairwise equivalence, on every pair when sample_pairs is None
     or at least the number of pairs, and on a seeded sample of
     sample_pairs pairs otherwise.  Any disagreement lands in the
-    violations list.
+    violations list.  ``canonical_form`` checks once that each game lies
+    in the universe, so the pairs run the universe's bound comparison
+    ``ordering._COMPARE[u][0]`` both ways without checking again.
 
     Invertibility is decided once per class, as c + conjugate(c)
     equivalent to 0 for the class's canonical form c.  By the conjugate
@@ -312,7 +314,10 @@ def census(budget: Optional[EnumerationBudget] = None, *,
     as that inverse, so g is invertible exactly when g + conjugate(g) is
     equivalent to 0.  Equivalence is a congruence for + that commutes with
     conjugation (the universe is closed under both), so every game of a
-    class gets its class's answer.
+    class gets its class's answer.  The sum s = c + conjugate(c) is its
+    own conjugate, and g >= h exactly when conjugate(h) >= conjugate(g),
+    so 0 >= s is the same test as s >= 0, and s is equivalent to 0
+    exactly when s >= 0.
     """
     if sample_pairs is not None:
         _require_count("sample_pairs", sample_pairs)
@@ -327,6 +332,7 @@ def census(budget: Optional[EnumerationBudget] = None, *,
     games = sorted(set(games), key=core.structural_key)
     u = universe
     canon = {g: canonical.canonical_form(g, u) for g in games}
+    ge = ordering._COMPARE[u][0]
     buckets: dict = {}
     for g, c in canon.items():
         buckets.setdefault(c, []).append(g)
@@ -337,7 +343,7 @@ def census(budget: Optional[EnumerationBudget] = None, *,
         nonlocal pairs_checked
         pairs_checked += 1
         same_bucket = canon[a] == canon[b]
-        equiv = ordering.equivalent(a, b, u)
+        equiv = ge(a, b) and ge(b, a)
         if same_bucket != equiv:
             violations.append(
                 "%s vs %s: canonical ids %s, equivalence %s" % (
@@ -358,9 +364,12 @@ def census(budget: Optional[EnumerationBudget] = None, *,
             if j >= i:
                 j += 1
             check(games[i], games[j])
-    invertible_classes = {
-        c for c in buckets
-        if ordering.equivalent(core.add(c, core.conjugate(c)), core.zero(), u)}
+    invertible_classes = set()
+    for c in buckets:
+        s = core.add(c, core.conjugate(c))
+        core.require_member(s, u)
+        if ge(s, core.zero()):
+            invertible_classes.add(c)
     invertible = tuple(g for g in games if canon[g] in invertible_classes)
     return CensusReport(
         universe=u.value,

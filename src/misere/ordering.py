@@ -6,6 +6,9 @@ contexts: it checks the base outcomes (plain for dicots, strong for
 dead-ending games) and then a pair of maintenance conditions on the
 options, recursing on strictly smaller total rank; ``_COMPARE[u]`` binds
 this once per universe, so the recursion never tests or hashes u.
+The public ``ge`` and ``equivalent`` check that each game lies in u once,
+then run the bound comparison; a caller that has already checked its
+games, such as the census, may call ``_COMPARE[u][0]`` directly.
 
 ``definitional_ge_check`` is the quantifier made literal over a finite
 test set; it exists so the subordinate test can be cross-validated and so
@@ -70,7 +73,10 @@ def ge(g: GameId, h: GameId, u: Universe) -> bool:
 
 def equivalent(g: GameId, h: GameId, u: Universe) -> bool:
     """Indistinguishable by every context in u: ge both ways."""
-    return ge(g, h, u) and ge(h, g, u)
+    core.require_member(g, u)
+    core.require_member(h, u)
+    at_least = _COMPARE[u][0]
+    return at_least(g, h) and at_least(h, g)
 
 
 def ge_normal(g: GameId, h: GameId) -> bool:

@@ -187,3 +187,17 @@ def test_domination_steps_are_traced_per_side():
     c, steps = misere.canonical_form_traced(g, E)
     sides = [(s.rule, s.side) for s in steps]
     assert ("domination", "L") in sides
+
+
+def test_traced_reduction_ignores_the_memo(monkeypatch):
+    games = misere.enumerate_games(misere.EnumerationBudget(2, 4, E))
+    with monkeypatch.context() as m:
+        cold = []
+        for g in games:
+            m.setattr(misere.canonical, "_CANON", {})
+            cold.append(misere.canonical_form_traced(g, E))
+    for g in games:
+        misere.canonical_form(g, E)
+    warm = [misere.canonical_form_traced(g, E) for g in games]
+    assert any(steps for _, steps in cold)
+    assert warm == cold

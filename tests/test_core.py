@@ -213,3 +213,13 @@ def test_non_integral_index_is_refused_before_interning(make, n):
     with pytest.raises(TypeError):
         make(n)
     assert len(core._NODES) == before
+
+
+def test_universe_membership_matches_predicates():
+    # The unfiltered rank-2 slice holds both universes' rank-2 slices and
+    # every follower of their games.
+    nodes = misere.enumerate_games(misere.EnumerationBudget(2, 4))
+    assert len(nodes) == 256
+    for g in nodes:
+        assert D.contains(g) == misere.is_dicot(g)
+        assert E.contains(g) == misere.is_dead_ending(g)

@@ -238,3 +238,16 @@ def test_census_refuses_negative_sample_pairs():
     with pytest.raises(ValueError):
         misere.census(EnumerationBudget(2, 4, D), sample_pairs=-5)
     assert misere.census(EnumerationBudget(2, 4, D), sample_pairs=0).pairs_checked == 0
+
+
+def test_census_cross_check_catches_a_disagreement(monkeypatch):
+    # With every game its own bucket, the one equivalent pair of the
+    # slice must be caught by the pairwise comparison.
+    monkeypatch.setattr(misere.canonical, "canonical_form", lambda g, u: g)
+    rep = misere.census(EnumerationBudget(2, 4, D), sample_pairs=None)
+    assert rep.violations == ("0 vs {*|*}: canonical ids differ, equivalence True",)
+
+
+def test_census_refuses_non_members():
+    with pytest.raises(DomainError, match=r"^game \{\{\|\}\|\} is not dicot$"):
+        misere.census(games=[misere.parse("1")], universe=D)

@@ -104,3 +104,14 @@ def test_sum_results_mirror(pair_slice):
                 flip(outcomes.sum_left_result(conj[g], conj[h]))
             assert outcomes.normal_sum_right_result(g, h) == \
                 flip(outcomes.normal_sum_left_result(conj[g], conj[h]))
+
+
+def test_invertibility_needs_one_comparison(pair_slice):
+    # c + conj(c) is its own conjugate, so by the ge mirror above it is
+    # at least 0 exactly when 0 is at least it: one test decides c + conj(c) = 0.
+    u, gs, _ = pair_slice
+    zero = misere.zero()
+    for c in {misere.canonical_form(g, u) for g in gs}:
+        s = misere.add(c, misere.conjugate(c))
+        assert misere.conjugate(s) == s
+        assert misere.ge(s, zero, u) == misere.ge(zero, s, u)
