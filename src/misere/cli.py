@@ -27,6 +27,10 @@ json when it first needs them, and none of these imports dataclasses.
 ``main`` builds the subparser of the one subcommand the query names, or
 all of them when the first argument names none (help, a missing or an
 unknown subcommand).  Either way the usage and help texts are the same.
+It keeps each parser it builds, so an in-process caller that runs many
+queries builds each one once; budgets are read from the environment when
+a command runs, not when its parser is built, so a change between calls
+is honoured.  ``build_parser`` itself always builds a fresh parser.
 Each answer is built only in the format printed.
 """
 
@@ -390,11 +394,19 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     return top
 
 
+# Parsers built by main, keyed by the subcommand they parse (None for the
+# full parser); an in-process caller builds each one once.
+_PARSERS: dict = {}
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    parser = _PARSERS.get(command)
+    if parser is None:
+        parser = _PARSERS[command] = build_parser(command)
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except notation.ParseError as e:

@@ -364,6 +364,26 @@ class Universe(enum.Enum):
 
 def require_member(g: GameId, u: Universe) -> None:
     if not _FLAGS[g] & u.bit:
+        raise DomainError("%s is not %s" % (_describe(g), u.value))
+
+
+# A domain error spells out its game in brace form up to this many characters.
+_DESCRIBE_LIMIT = 200
+
+
+def _describe(g: GameId) -> str:
+    """"game {...}" in brace form, or, when that form would be longer than
+    _DESCRIBE_LIMIT, g's rank and number of distinct subpositions.  The
+    length is counted on ints over the DAG, so a long form is never built."""
+    subs = followers(g)
+    length = {}
+    for x in subs:  # children first: structural order begins with the rank
+        lt, rt = _NODES[x]
+        # "{", "|" and "}", the options, and a "," between two on a side.
+        length[x] = (3 + max(len(lt) - 1, 0) + max(len(rt) - 1, 0)
+                     + sum(map(length.__getitem__, lt))
+                     + sum(map(length.__getitem__, rt)))
+    if length[g] <= _DESCRIBE_LIMIT:
         from . import notation
-        raise DomainError("game %s is not %s"
-                          % (notation.print_game(g, "brace"), u.value))
+        return "game " + notation.print_game(g, "brace")
+    return "a game of rank %d with %d distinct subpositions" % (_RANK[g], len(subs))

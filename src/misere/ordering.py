@@ -12,7 +12,10 @@ games, such as the census, may call ``_COMPARE[u][0]`` directly.
 
 ``definitional_ge_check`` is the quantifier made literal over a finite
 test set; it exists so the subordinate test can be cross-validated and so
-games outside the universe can still be probed.
+games outside the universe can still be probed.  It is a finite form of
+the indistinguishability relation of misère quotients (Plambeck & Siegel,
+JCTA 2008): each game's results against the set are two bit vectors,
+memoised per game and set, and each set is validated once per universe.
 """
 
 from __future__ import annotations
@@ -84,20 +87,53 @@ def ge_normal(g: GameId, h: GameId) -> bool:
     return outcomes.normal_sum_right_result(g, core.conjugate(h)) == Result.L
 
 
+# The definitional check's tables.  A test set is interned by its contents
+# to a small index; (index, u) is in _CHECKED_SETS once every game of the
+# set is known to lie in u; _OUTCOME_VECTORS[g, index] holds g's results
+# against the set as two bit vectors.  (No name here starts with _GE: those
+# are the memos of the bound comparison.)
+_TEST_SETS: dict = {}
+_CHECKED_SETS: set = set()
+_OUTCOME_VECTORS: dict = {}
+
+
+def _outcome_vector(g: GameId, index: int, tests: tuple) -> tuple:
+    """(Left-first bits, Right-first bits) of g against tests: bit i is set
+    when Left wins g + tests[i] with that player moving first."""
+    v = _OUTCOME_VECTORS.get((g, index))
+    if v is None:
+        left = right = 0
+        for i, x in enumerate(tests):
+            if sum_left_result(g, x):
+                left |= 1 << i
+            if sum_right_result(g, x):
+                right |= 1 << i
+        v = _OUTCOME_VECTORS[g, index] = (left, right)
+    return v
+
+
 def definitional_ge_check(g: GameId, h: GameId, u: Universe,
                           test_set: Iterable[GameId]) -> bool:
     """Check outcome(g + x) >= outcome(h + x) for every x in test_set.
 
-    Every test game must belong to u; g and h themselves may lie outside
-    it.  This is only as strong as the test set is rich.
+    Every test game must belong to u, and the whole set is checked before
+    any answer is given; g and h themselves may lie outside it.  This is
+    only as strong as the test set is rich.
+
+    The results of a game against a test set are kept as two bit vectors,
+    one per player moving first, so g >= h over the set is two AND-NOTs.
+    Each distinct set (by contents) is validated once per universe.
     """
-    for x in test_set:
-        core.require_member(x, u)
-        # outcome_ge on the two sum outcomes, read off the results.
-        if (sum_left_result(g, x) < sum_left_result(h, x)
-                or sum_right_result(g, x) < sum_right_result(h, x)):
-            return False
-    return True
+    tests = tuple(test_set)
+    index = _TEST_SETS.setdefault(tests, len(_TEST_SETS))
+    if (index, u) not in _CHECKED_SETS:
+        for x in tests:
+            core.require_member(x, u)
+        _CHECKED_SETS.add((index, u))
+    g_left, g_right = _outcome_vector(g, index, tests)
+    h_left, h_right = _outcome_vector(h, index, tests)
+    # outcome_ge on every sum: no x where h + x wins for Left and g + x not.
+    return not (h_left & ~g_left) and not (h_right & ~g_right)
 
 
 class Distinguisher(core.Record):

@@ -319,3 +319,79 @@ def test_usage_errors_print_the_full_usage(capsys):
         err = capsys.readouterr().err
         assert exit_.value.code == 2
         assert err.startswith(usage) and message in err, argv
+
+
+def _call(capsys, argv):
+    """cli.main's exit code, stdout and stderr, a usage exit included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exit_:
+        code = exit_.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+_EVERY_SUBCOMMAND = (
+    ["parse", "{0,*|0}"],
+    ["outcome", "M(2)", "--normal"],
+    ["strong-outcome", "{*|0}"],
+    ["sum", "1", "-1", "*"],
+    ["conj", "{0|*}", "--format", "structured"],
+    ["compare", "M(1)", "M(2)", "--universe", "dead-ending"],
+    ["reduce", "{-1|0,*}", "--universe", "dead-ending", "--trace"],
+    ["distinguish", "M(0)", "M(1)", "--universe", "dead-ending"],
+    ["enumerate", "--universe", "dicot", "--census"],
+    ["verify", "embedding", "--universe", "dicot", "--max-rank", "1"],
+    ["--help"],
+    [],
+    ["no-such-command"],
+    ["compare", "1", "2", "--universe", "dicot", "--bogus"],
+    ["outcome", "{0|"],
+    ["compare", "1", "0", "--universe", "dicot"],
+)
+
+
+def test_main_reuses_its_parsers_and_answers_the_same(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    assert {argv[0] if argv else None for argv in _EVERY_SUBCOMMAND} >= set(cli._COMMANDS)
+    first = [_call(capsys, argv) for argv in _EVERY_SUBCOMMAND]
+    parsers = dict(cli._PARSERS)
+    assert set(parsers) == set(cli._COMMANDS) | {None}
+    for argv, expected in zip(_EVERY_SUBCOMMAND, first):
+        assert _call(capsys, argv) == expected, argv
+    assert all(cli._PARSERS[k] is p for k, p in parsers.items())
+    codes = [code for code, _, _ in first]
+    assert codes[:10] == [0] * 10
+    assert codes[10:] == [0, 2, 2, 2, 3, 4]
+
+
+def test_a_reused_parser_reads_the_budget_at_each_call(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    monkeypatch.setenv(cli.ENV_MAX_RANK, "1")
+    assert _call(capsys, ["enumerate", "--universe", "dicot"]) == (0, "0\n*\n", "")
+    monkeypatch.setenv(cli.ENV_MAX_RANK, "2")
+    code, out, _ = _call(capsys, ["enumerate", "--universe", "dicot"])
+    assert (code, len(out.splitlines())) == (0, 10)
+    monkeypatch.setenv(cli.ENV_MAX_RANK, "x")
+    code, _, err = _call(capsys, ["enumerate", "--universe", "dicot"])
+    assert (code, err) == (2, "usage error: MISERE_MAX_RANK must be an integer, got 'x'\n")
+
+
+def test_a_reused_verify_parser_keeps_each_targets_universe_rule(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    conjugate = ["verify", "conjugate", "--universe", "dicot", "--max-rank", "1"]
+    for _ in range(2):
+        assert _call(capsys, conjugate)[0] == 0
+        assert _call(capsys, ["verify", "ends", "--universe", "dicot"]) == (
+            2, "", "usage error: verify ends always scans the dead-ending "
+                   "universe; --universe does not apply\n")
+        code, out, _ = _call(capsys, ["verify", "ends"])
+        assert code == 0 and "dead-ending" in out
+
+
+@pytest.mark.parametrize("game", ["9+-9", "3000"])
+def test_domain_errors_name_a_large_game_in_one_short_line(capsys, game):
+    code, out, err = run(capsys, "compare", "--universe", "dicot", game, "0")
+    assert (code, out) == (4, "")
+    assert err.startswith("domain error: a game of rank ")
+    assert err.count("\n") == 1 and len(err) < 200

@@ -156,6 +156,30 @@ def test_membership_error_text():
     assert str(err.value) == "game {{|}|} is not dicot"
 
 
+def test_membership_errors_name_a_long_game_by_its_size():
+    g = misere.parse("9+-9")
+    with pytest.raises(DomainError) as err:
+        misere.ge(g, misere.zero(), D)
+    assert str(err.value) == ("a game of rank 18 with 100 distinct "
+                              "subpositions is not dicot")
+
+
+def test_membership_errors_spell_out_games_up_to_the_limit():
+    # Sums a + -b whose brace forms fall on both sides of the limit.
+    seen = set()
+    for a in range(5):
+        for b in range(5):
+            g = misere.parse("%d+-%d" % (a, b))
+            brace = misere.print_game(g, "brace")
+            short = len(brace) <= core._DESCRIBE_LIMIT
+            seen.add(short)
+            expected = ("game " + brace if short else
+                        "a game of rank %d with %d distinct subpositions"
+                        % (misere.rank(g), len(core.followers(g))))
+            assert core._describe(g) == expected
+    assert seen == {True, False}
+
+
 def test_followers_include_game_and_are_transitive():
     g = misere.parse("{0,*|1}")
     fs = misere.followers(g)
