@@ -98,6 +98,11 @@ def enumerate_games(budget: EnumerationBudget) -> list:
 @functools.lru_cache(maxsize=None)
 def _dead_left_ends(max_rank: int, max_options: Optional[int],
                     node_cap: int) -> tuple:
+    # lru_cache keeps no exception, so a refused budget is refused each call.
+    if max_rank < 0:
+        raise ValueError("max_rank must be a natural number")
+    if max_options is not None and max_options < 0:
+        raise ValueError("max_options must be a natural number")
     accepted = [core.zero()]
     for r in range(1, max_rank + 1):
         pool = sorted(accepted, key=core.structural_key)
@@ -169,6 +174,7 @@ def sample_rank3_games(universe: Universe, max_options: int = 2,
     millions of forms in the dead-ending universe even with two options
     per side), so scans over rank 3 draw from this sample instead.
     """
+    _require_count("count", count)
     budget = EnumerationBudget(max_rank=2, max_options=max_options,
                                universe=universe)
     pool = enumerate_games(budget)
@@ -192,6 +198,14 @@ def _require_count(name: str, n: int) -> None:
     """Refuse a negative sample count, which would silently check nothing."""
     if n < 0:
         raise ValueError("%s must be at least 0, got %d" % (name, n))
+
+
+def _violation_lines(violations: tuple) -> list:
+    """The first 20 violations of a text report, then how many more."""
+    lines = ["  VIOLATION: %s" % v for v in violations[:20]]
+    if len(violations) > 20:
+        lines.append("  ... %d more" % (len(violations) - 20))
+    return lines
 
 
 class ScanReport(core.Record):
@@ -228,11 +242,7 @@ class ScanReport(core.Record):
                     self.checked, len(self.violations))]
         for k in sorted(self.counts):
             lines.append("  %s: %s" % (k, self.counts[k]))
-        for v in self.violations[:20]:
-            lines.append("  VIOLATION: %s" % v)
-        if len(self.violations) > 20:
-            lines.append("  ... %d more" % (len(self.violations) - 20))
-        return "\n".join(lines)
+        return "\n".join(lines + _violation_lines(self.violations))
 
 
 class CensusReport(core.Record):
@@ -288,9 +298,7 @@ class CensusReport(core.Record):
             "  pairwise checks: %d, violations: %d" % (
                 self.pairs_checked, len(self.violations)),
         ]
-        for v in self.violations[:20]:
-            lines.append("  VIOLATION: %s" % v)
-        return "\n".join(lines)
+        return "\n".join(lines + _violation_lines(self.violations))
 
 
 def census(budget: Optional[EnumerationBudget] = None, *,

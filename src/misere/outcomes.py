@@ -1,24 +1,22 @@
 """Who wins: misère and normal results, outcomes, and strong outcomes.
 
 Results are per-player: ``left_result(g)`` says who wins when Left moves
-first, ``right_result(g)`` when Right moves first, with L > R as values.
-Under the misère convention a player with no move wins; under the normal
-convention a player with no move loses.  The pair of results folds into
-one of four outcomes L, N, P, R, partially ordered by how good they are
-for Left (L on top, R at the bottom, N and P incomparable).
+first, ``right_result(g)`` when Right moves first, with L > R as values;
+``normal_left_result`` and ``normal_right_result`` are the same under
+normal play.  Under the misère convention a player with no move wins;
+under the normal convention a player with no move loses.  The pair of
+results folds into one of four outcomes L, N, P, R, partially ordered by
+how good they are for Left (L on top, R at the bottom, N and P
+incomparable).
 
-There is one recursion, on pairs: the results of a sum g + h are
-evaluated on the pair of ids (g, h), and a single game g is the pair
-(0, g), since 0 is the identity of the sum.  The result function of the
-player to move is written once: per convention, Left's is made from
-Left's options, winner, end value and memo, and Right's is the same body
-with each of them swapped.  ``strong_outcome`` computes both of its
-sides together from the two functions.  A sum
-is never built in the intern table just to be evaluated; callers that
-only ask who wins a sum use ``sum_left_result`` and its siblings.
-The closed-form strong outcome below does so too.  It is checked against
-two other implementations: the brute force in ``lab``, which plays every
-dead end up to a rank bound on pairs, and the frozenset reference in the
+There is one recursion, on pairs: each result function takes a sum
+g + h as the pair of ids (g, h), with h = 0 by default, so
+``left_result(g)`` is g alone and no sum is interned just to be
+evaluated.  The four are the functions ``_convention`` builds, each body
+written once for the player to move.  The ``sum_*`` names are the same
+functions, and ``sum_outcome`` is ``outcome``.  ``strong_outcome`` is
+checked against the brute force in ``lab``, which plays every dead end
+up to a rank bound on pairs, and against the frozenset reference in the
 tests, which builds each sum explicitly.
 
 Strong outcomes refine misère outcomes for dead-ending games: they ask
@@ -68,27 +66,31 @@ def outcome_ge(a: Outcome, b: Outcome) -> bool:
     return a.left >= b.left and a.right >= b.right
 
 
-def _convention(at_left_end: Result, left_memo: dict, right_memo: dict):
-    """The Left-first and Right-first result functions of one convention.
+# The identity of the sum: each result function reads f(g) as f(g, _ZERO).
+_ZERO = core.zero()
 
-    Each takes a sum g + h as the pair (g, h); a single game g is the pair
-    (0, g), since 0 is the identity of the sum and has no options.
-    at_left_end is the result when Left has no move on Left's turn (L
-    under misère play, R under normal play); a Right-end gives the other.
-    One body serves both players: Right is Left with the options, the
-    winner, the end value and the memo swapped.  Each function finds the
-    other player's function in a table bound here, so no side argument
-    enters the recursion.  A sum is never interned: its options for the
-    player to move are the pairs (gᴸ, h) and (g, hᴸ), and its results are
-    memoised per unordered pair.
+
+def _convention(prefix: str, name: str, at_left_end: Result,
+                left_memo: dict, right_memo: dict):
+    """The Left-first and Right-first result functions of one convention,
+    published as ``<prefix>left_result`` and ``<prefix>right_result``.
+
+    Each takes a sum g + h as the pair (g, h); 0 has no options, so a
+    single game g is the pair (g, 0).  at_left_end is the result when Left
+    has no move on Left's turn (L under misère play, R under normal play);
+    a Right-end gives the other.  One body serves both players: Right is
+    Left with the options, the winner, the end value and the memo swapped.
+    Each function finds the other player's function in a table bound here,
+    so no side argument enters the recursion.  A sum is never interned:
+    its options for the player to move are the pairs (gᴸ, h) and (g, hᴸ),
+    and its results are memoised per unordered pair.
     """
-    zero = core.zero()
     mover = [None, None]  # indexed by the Result the player to move wants
 
-    def player(options, wins: Result, at_end: Result, memo: dict):
+    def player(side: str, options, wins: Result, at_end: Result, memo: dict):
         loses = Result(1 - wins)
 
-        def result(g: GameId, h: GameId = zero) -> Result:
+        def result(g: GameId, h: GameId = _ZERO) -> Result:
             key = (g, h) if g < h else (h, g)
             r = memo.get(key)
             if r is None:
@@ -110,76 +112,43 @@ def _convention(at_left_end: Result, left_memo: dict, right_memo: dict):
                 memo[key] = r
             return r
 
+        # The public name makes the function picklable by reference.
+        result.__name__ = result.__qualname__ = prefix + side + "_result"
+        result.__doc__ = ("Winner of g + h (h = 0 by default) under %s play when"
+                          " %s moves first, without interning the sum."
+                          % (name, side.title()))
         mover[wins] = result
         return result
 
-    return (player(core.left_options, Result.L, at_left_end, left_memo),
-            player(core.right_options, Result.R, Result(1 - at_left_end),
-                   right_memo))
+    return (player("left", core.left_options, Result.L, at_left_end, left_memo),
+            player("right", core.right_options, Result.R,
+                   Result(1 - at_left_end), right_memo))
 
 
 _MIS_L: dict = {}
 _MIS_R: dict = {}
-_mis_left, _mis_right = _convention(Result.L, _MIS_L, _MIS_R)
+left_result, right_result = _convention("", "misère", Result.L, _MIS_L, _MIS_R)
+sum_left_result, sum_right_result = left_result, right_result
 
 _NOR_L: dict = {}
 _NOR_R: dict = {}
-_nor_left, _nor_right = _convention(Result.R, _NOR_L, _NOR_R)
+normal_left_result, normal_right_result = _convention(
+    "normal_", "normal", Result.R, _NOR_L, _NOR_R)
+normal_sum_left_result, normal_sum_right_result = (normal_left_result,
+                                                   normal_right_result)
 
 
-def left_result(g: GameId) -> Result:
-    """Winner of g under misère play when Left moves first."""
-    return _mis_left(g)
+def outcome(g: GameId, h: GameId = _ZERO) -> Outcome:
+    """Misère outcome of g + h (h = 0 by default), without interning the sum."""
+    return _OUTCOMES[left_result(g, h)][right_result(g, h)]
 
 
-def right_result(g: GameId) -> Result:
-    """Winner of g under misère play when Right moves first."""
-    return _mis_right(g)
-
-
-def outcome(g: GameId) -> Outcome:
-    """Misère outcome of g."""
-    return _OUTCOMES[_mis_left(g)][_mis_right(g)]
-
-
-def normal_left_result(g: GameId) -> Result:
-    """Winner of g under normal play when Left moves first."""
-    return _nor_left(g)
-
-
-def normal_right_result(g: GameId) -> Result:
-    """Winner of g under normal play when Right moves first."""
-    return _nor_right(g)
+sum_outcome = outcome
 
 
 def normal_outcome(g: GameId) -> Outcome:
     """Normal-play outcome of g."""
-    return _OUTCOMES[_nor_left(g)][_nor_right(g)]
-
-
-def sum_left_result(g: GameId, h: GameId) -> Result:
-    """left_result(add(g, h)), without interning the sum."""
-    return _mis_left(g, h)
-
-
-def sum_right_result(g: GameId, h: GameId) -> Result:
-    """right_result(add(g, h)), without interning the sum."""
-    return _mis_right(g, h)
-
-
-def sum_outcome(g: GameId, h: GameId) -> Outcome:
-    """outcome(add(g, h)), without interning the sum."""
-    return _OUTCOMES[_mis_left(g, h)][_mis_right(g, h)]
-
-
-def normal_sum_left_result(g: GameId, h: GameId) -> Result:
-    """normal_left_result(add(g, h)), without interning the sum."""
-    return _nor_left(g, h)
-
-
-def normal_sum_right_result(g: GameId, h: GameId) -> Result:
-    """normal_right_result(add(g, h)), without interning the sum."""
-    return _nor_right(g, h)
+    return _OUTCOMES[normal_left_result(g)][normal_right_result(g)]
 
 
 _STRONG: dict = {}
@@ -203,8 +172,8 @@ def strong_outcome(g: GameId) -> Outcome:
         else:
             left_attack = core.murder(k - 1)
             right_attack = core.conjugate(left_attack)
-            o = _OUTCOMES[min(_mis_left(g), _mis_left(g, left_attack))][
-                max(_mis_right(g), _mis_right(g, right_attack))]
+            o = _OUTCOMES[min(left_result(g), left_result(g, left_attack))][
+                max(right_result(g), right_result(g, right_attack))]
         _STRONG[g] = o
     return o
 

@@ -251,3 +251,33 @@ def test_census_cross_check_catches_a_disagreement(monkeypatch):
 def test_census_refuses_non_members():
     with pytest.raises(DomainError, match=r"^game \{\{\|\}\|\} is not dicot$"):
         misere.census(games=[misere.parse("1")], universe=D)
+
+
+def test_dead_end_enumerators_refuse_a_negative_budget():
+    with pytest.raises(ValueError, match="max_rank must be a natural number"):
+        misere.enumerate_dead_left_ends(-1)
+    with pytest.raises(ValueError, match="max_rank must be a natural number"):
+        misere.enumerate_dead_right_ends(-1)
+    with pytest.raises(ValueError, match="max_options must be a natural number"):
+        misere.enumerate_dead_left_ends(2, max_options=-1)
+    with pytest.raises(ValueError):
+        misere.brute_strong_left(misere.parse("{|0}"), max_end_rank=-1)
+    with pytest.raises(ValueError):
+        misere.scan_end_invertibility(max_rank=-1)
+    # no option per side still leaves the empty game
+    assert misere.enumerate_dead_left_ends(2, max_options=0) == [misere.zero()]
+
+
+def test_sample_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="count must be at least 0"):
+        misere.sample_rank3_games(E, count=-1)
+    assert misere.sample_rank3_games(E, count=0) == []
+
+
+def test_census_text_counts_the_violations_it_does_not_list(monkeypatch):
+    monkeypatch.setattr(misere.canonical, "canonical_form", lambda g, u: g)
+    rep = misere.census(EnumerationBudget(2, 4, E), sample_pairs=None)
+    lines = rep.render_text().splitlines()
+    assert len(rep.violations) == 54
+    assert sum(line.startswith("  VIOLATION: ") for line in lines) == 20
+    assert lines[-1] == "  ... 34 more"

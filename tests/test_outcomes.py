@@ -149,3 +149,33 @@ def test_base_outcome_switches_on_universe():
     g = misere.parse("{*|0}")
     assert outcomes.base_outcome(g, Universe.DICOT) == misere.outcome(g)
     assert outcomes.base_outcome(g, E) == misere.strong_outcome(g)
+
+
+
+RESULT_FUNCTIONS = ["left_result", "right_result", "normal_left_result",
+                    "normal_right_result"]
+
+
+@pytest.mark.parametrize("name", RESULT_FUNCTIONS + ["outcome"])
+def test_result_functions_are_named_documented_and_picklable(name):
+    import pickle
+
+    from misere import outcomes
+    f = getattr(outcomes, name)
+    assert f.__name__ == f.__qualname__ == name
+    assert pickle.loads(pickle.dumps(f)) is f
+    # the docstring names the player and the convention
+    doc = f.__doc__.lower()
+    assert ("right" if "right" in name else "left" if "left" in name
+            else "outcome") in doc
+    assert ("normal" if name.startswith("normal_") else "misère") in doc
+
+
+def test_sum_names_are_the_result_functions():
+    from misere import outcomes
+    for name in RESULT_FUNCTIONS + ["outcome"]:
+        sum_name = ("normal_sum_" + name[7:] if name.startswith("normal_")
+                    else "sum_" + name)
+        assert getattr(outcomes, sum_name) is getattr(outcomes, name)
+    g = misere.star()
+    assert outcomes.outcome(g) == outcomes.outcome(g, misere.zero())
