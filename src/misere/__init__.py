@@ -7,9 +7,13 @@ scans live in the sibling modules and are re-exported here.
 Names load on first use: ``import misere`` imports no submodule, and
 reading ``misere.ge`` (or ``misere.ordering``) imports the module that
 defines it, so a caller pays only for the modules it reads.
+
+``stats()`` counts the entries of every process-global memo table in the
+submodules loaded so far; it loads none itself.
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -56,7 +60,48 @@ _EXPORTS = {
 
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(_ORIGIN)
+__all__ = sorted([*_ORIGIN, "stats"])
+
+# Submodule -> its memo tables, by name.  A table named in _ROW_TABLES
+# holds rows, memo[a][b], and counts one entry per pair; a function
+# memoised by functools.lru_cache counts its cache's entries.
+_TABLES = {
+    "core": ("_NODES", "_TABLE", "_INTEGERS", "_MURDERS", "_CONJ", "_SUMS"),
+    "outcomes": ("_MIS_L", "_MIS_R", "_NOR_L", "_NOR_R", "_STRONG"),
+    "ordering": ("_GE_DICOT", "_GE_DEAD_ENDING", "_TEST_SETS",
+                 "_CHECKED_SETS", "_OUTCOME_VECTORS"),
+    "canonical": ("_CANON",),
+    "notation": ("_INT_VALUE", "_BRACE", "_NAMED"),
+    "lab": ("_dead_left_ends", "_dead_right_ends"),
+    "cli": ("_PARSERS",),
+}
+_ROW_TABLES = frozenset({"core._SUMS", "ordering._GE_DICOT",
+                         "ordering._GE_DEAD_ENDING", "ordering._OUTCOME_VECTORS",
+                         "canonical._CANON"})
+
+
+def stats() -> dict:
+    """Entry counts of the memo tables of every loaded submodule.
+
+    Keys are "module._TABLE" (for example "core._NODES", the intern
+    table's node count), in a fixed order; a submodule not yet loaded is
+    left out, since counting its tables would load it.
+    """
+    counts = {}
+    for module, names in _TABLES.items():
+        mod = sys.modules.get(__name__ + "." + module)
+        if mod is None:
+            continue
+        for name in names:
+            table = getattr(mod, name)
+            key = module + "." + name
+            if key in _ROW_TABLES:
+                counts[key] = sum(map(len, table.values()))
+            elif hasattr(table, "cache_info"):
+                counts[key] = table.cache_info().currsize
+            else:
+                counts[key] = len(table)
+    return counts
 
 
 def __getattr__(name):

@@ -21,7 +21,10 @@ per-side steps, and Right is Left with each field swapped.
 games in the same universe reach the same interned id, so equivalence of
 canonicalized games is id equality.  ``_CANON`` memoises the form of
 each game and of each game rebuilt on its canonical options, which many
-games share; ``canonical_form_traced`` reads neither.
+games share, in one row per universe: ``_CANON[u][g]``.  The public
+calls fetch the row, made on first use, and the recursion reads it by
+id alone, so no (g, u) key is built or hashed; ``canonical_form_traced``
+reads no row.
 """
 
 from __future__ import annotations
@@ -303,7 +306,7 @@ _CANON: dict = {}
 def canonical_form(g: GameId, u: Universe) -> GameId:
     """The unique reduced game equivalent to g within u."""
     core.require_member(g, u)
-    return _canonical(g, u, None)
+    return _canonical(g, u, _CANON.setdefault(u, {}), None)
 
 
 def canonical_form_traced(g: GameId, u: Universe):
@@ -314,23 +317,24 @@ def canonical_form_traced(g: GameId, u: Universe):
     """
     core.require_member(g, u)
     trace: list = []
-    return _canonical(g, u, trace), trace
+    return _canonical(g, u, _CANON.setdefault(u, {}), trace), trace
 
 
-def _canonical(g: GameId, u: Universe, trace) -> GameId:
-    key = (g, u)
+def _canonical(g: GameId, u: Universe, memo: dict, trace) -> GameId:
+    """The canonical form of g in u, through memo, the row of _CANON for u;
+    with a trace list the row is written but not read."""
     if trace is None:
-        hit = _CANON.get(key)
+        hit = memo.get(g)
         if hit is not None:
             return hit
-    left = [_canonical(x, u, trace) for x in core.left_options(g)]
-    right = [_canonical(x, u, trace) for x in core.right_options(g)]
+    left = [_canonical(x, u, memo, trace) for x in core.left_options(g)]
+    right = [_canonical(x, u, memo, trace) for x in core.right_options(g)]
     cur = core.mk_game(left, right)
     if trace is None:
         # Games that differ only below canonical children meet here.
-        hit = _CANON.get((cur, u))
+        hit = memo.get(cur)
         if hit is not None:
-            _CANON[key] = hit
+            memo[g] = hit
             return hit
     for _ in range(_PASS_CAP):
         rule, side, nxt = _reduce_once(cur, u)
@@ -342,8 +346,8 @@ def _canonical(g: GameId, u: Universe, trace) -> GameId:
     else:
         raise ResourceError("reduction did not reach a fixpoint within %d passes"
                             % _PASS_CAP)
-    _CANON[key] = cur
-    _CANON[(cur, u)] = cur
+    memo[g] = cur
+    memo[cur] = cur
     return cur
 
 

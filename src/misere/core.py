@@ -21,6 +21,13 @@ and each ``Universe`` member carries the bit that marks its games.
 ``mk_game`` appends ``_NODES`` after the other columns and writes
 ``_TABLE`` last, so an id that ``_validate_ids`` admits (it is bounded by
 ``len(_NODES)``) or that a lookup returns always has all its columns.
+
+The memo of a function of two games is a table of rows, ``memo[a][b]``,
+not a dict keyed by the pair (a, b): a lookup indexes by ids the caller
+already holds and allocates no key.  ``_SUMS`` is kept this way here, as
+are the comparison and canonical-form memos of ``ordering`` and
+``canonical`` (but not the result memos of ``outcomes``).
+``misere.stats()`` counts one entry per pair.
 """
 
 from __future__ import annotations
@@ -270,19 +277,26 @@ _SUMS: dict = {}
 
 
 def add(g: GameId, h: GameId) -> GameId:
-    """Disjunctive sum: play in exactly one component per move."""
+    """Disjunctive sum: play in exactly one component per move.
+
+    Sums are memoised in rows, ``_SUMS[smaller id][larger id]``, so a
+    lookup indexes by the two ids and builds no pair key.
+    """
     if g == _ZERO:
         return h
     if h == _ZERO:
         return g
-    pair = (g, h) if g <= h else (h, g)
-    r = _SUMS.get(pair)
+    a, b = (g, h) if g <= h else (h, g)
+    row = _SUMS.get(a)
+    if row is None:
+        row = _SUMS.setdefault(a, {})
+    r = row.get(b)
     if r is None:
         gl, gr = _NODES[g]
         hl, hr = _NODES[h]
         left = [add(x, h) for x in gl] + [add(g, y) for y in hl]
         right = [add(x, h) for x in gr] + [add(g, y) for y in hr]
-        r = _SUMS.setdefault(pair, mk_game(left, right))
+        r = row.setdefault(b, mk_game(left, right))
     return r
 
 

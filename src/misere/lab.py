@@ -195,7 +195,8 @@ def sample_rank3_games(universe: Universe, max_options: int = 2,
 
 
 def _require_count(name: str, n: int) -> None:
-    """Refuse a negative sample count, which would silently check nothing."""
+    """Refuse a negative sample count or index bound, which would silently
+    check nothing, or the same as 0."""
     if n < 0:
         raise ValueError("%s must be at least 0, got %d" % (name, n))
 
@@ -401,6 +402,7 @@ def scan_murder_theorems(max_index: int = 6, max_end_rank: int = 3) -> ScanRepor
     (but not from index zero), and that every non-zero dead Left-end
     sits above every murder of at least its rank.
     """
+    _require_count("max_index", max_index)
     u = Universe.DEAD_ENDING
     violations = []
     checked = 0

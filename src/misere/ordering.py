@@ -30,13 +30,21 @@ from .outcomes import (Result, outcome_ge, sum_left_result, sum_outcome,
 
 def _comparison(base, memo: dict) -> tuple:
     """The (ge, le) pair of one universe, on ids known to lie in it, closed
-    over its base outcome and its memo, which is keyed by the pair (g, h)."""
+    over its base outcome and its memo.
+
+    The memo holds rows: ``memo[g][h]`` is the answer for g >= h, and the
+    row of g is made on g's first comparison.  A lookup indexes by the ids
+    the caller already holds, so it builds and hashes no pair key.
+    """
     def ge(g: GameId, h: GameId) -> bool:
         if g == h:
             return True
-        r = memo.get((g, h))
+        row = memo.get(g)
+        if row is None:
+            row = memo.setdefault(g, {})
+        r = row.get(h)
         if r is None:
-            r = memo[g, h] = outcome_ge(base(g), base(h)) and keeps_up(g, h)
+            r = row[h] = outcome_ge(base(g), base(h)) and keeps_up(g, h)
         return r
 
     def le(g: GameId, h: GameId) -> bool:
@@ -89,18 +97,19 @@ def ge_normal(g: GameId, h: GameId) -> bool:
 
 # The definitional check's tables.  A test set is interned by its contents
 # to a small index; (index, u) is in _CHECKED_SETS once every game of the
-# set is known to lie in u; _OUTCOME_VECTORS[g, index] holds g's results
-# against the set as two bit vectors.  (No name here starts with _GE: those
-# are the memos of the bound comparison.)
+# set is known to lie in u; _OUTCOME_VECTORS[index][g] holds g's results
+# against the set as two bit vectors, in one row per set.  (No name here
+# starts with _GE: those are the memos of the bound comparison.)
 _TEST_SETS: dict = {}
 _CHECKED_SETS: set = set()
 _OUTCOME_VECTORS: dict = {}
 
 
-def _outcome_vector(g: GameId, index: int, tests: tuple) -> tuple:
+def _outcome_vector(g: GameId, vectors: dict, tests: tuple) -> tuple:
     """(Left-first bits, Right-first bits) of g against tests: bit i is set
-    when Left wins g + tests[i] with that player moving first."""
-    v = _OUTCOME_VECTORS.get((g, index))
+    when Left wins g + tests[i] with that player moving first.  vectors is
+    the set's row of _OUTCOME_VECTORS."""
+    v = vectors.get(g)
     if v is None:
         left = right = 0
         for i, x in enumerate(tests):
@@ -108,7 +117,7 @@ def _outcome_vector(g: GameId, index: int, tests: tuple) -> tuple:
                 left |= 1 << i
             if sum_right_result(g, x):
                 right |= 1 << i
-        v = _OUTCOME_VECTORS[g, index] = (left, right)
+        v = vectors[g] = (left, right)
     return v
 
 
@@ -130,8 +139,9 @@ def definitional_ge_check(g: GameId, h: GameId, u: Universe,
         for x in tests:
             core.require_member(x, u)
         _CHECKED_SETS.add((index, u))
-    g_left, g_right = _outcome_vector(g, index, tests)
-    h_left, h_right = _outcome_vector(h, index, tests)
+    vectors = _OUTCOME_VECTORS.setdefault(index, {})
+    g_left, g_right = _outcome_vector(g, vectors, tests)
+    h_left, h_right = _outcome_vector(h, vectors, tests)
     # outcome_ge on every sum: no x where h + x wins for Left and g + x not.
     return not (h_left & ~g_left) and not (h_right & ~g_right)
 

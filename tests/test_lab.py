@@ -115,6 +115,11 @@ def test_scan_murder_theorems():
     assert rep.counts == {"max_index": 6, "left_ends": 15}
 
 
+def test_scan_murder_theorems_refuses_a_negative_index():
+    with pytest.raises(ValueError, match="max_index"):
+        misere.scan_murder_theorems(max_index=-3)
+
+
 def test_scan_end_invertibility():
     rep = misere.scan_end_invertibility(max_rank=3)
     assert rep.ok
