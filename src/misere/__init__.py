@@ -62,7 +62,7 @@ _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted([*_ORIGIN, "stats"])
 
-# Submodule -> its memo tables, by name.  A table named in _ROW_TABLES
+# Submodule -> its memo tables, by name.  A dict whose values are dicts
 # holds rows, memo[a][b], and counts one entry per pair; a function
 # memoised by functools.lru_cache counts its cache's entries.
 _TABLES = {
@@ -75,9 +75,6 @@ _TABLES = {
     "lab": ("_dead_left_ends", "_dead_right_ends"),
     "cli": ("_PARSERS",),
 }
-_ROW_TABLES = frozenset({"core._SUMS", "ordering._GE_DICOT",
-                         "ordering._GE_DEAD_ENDING", "ordering._OUTCOME_VECTORS",
-                         "canonical._CANON"})
 
 
 def stats() -> dict:
@@ -95,10 +92,11 @@ def stats() -> dict:
         for name in names:
             table = getattr(mod, name)
             key = module + "." + name
-            if key in _ROW_TABLES:
-                counts[key] = sum(map(len, table.values()))
-            elif hasattr(table, "cache_info"):
+            if hasattr(table, "cache_info"):
                 counts[key] = table.cache_info().currsize
+            elif isinstance(table, dict) and isinstance(
+                    next(iter(table.values()), None), dict):
+                counts[key] = sum(map(len, table.values()))
             else:
                 counts[key] = len(table)
     return counts

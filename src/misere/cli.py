@@ -41,7 +41,7 @@ import os
 import sys
 
 from . import core, notation, outcomes
-from .core import DomainError, ResourceError, Universe
+from .core import _DEFAULT_OPTIONS, _DEFAULT_RANK, DomainError, ResourceError, Universe
 
 ENV_MAX_RANK = "MISERE_MAX_RANK"
 ENV_MAX_OPTIONS = "MISERE_MAX_OPTIONS"
@@ -78,8 +78,9 @@ def _budget_value(given, flag: str, env: str, default: int, least: int) -> int:
 
 
 def _resolve_budget(args) -> tuple:
-    return (_budget_value(args.max_rank, "--max-rank", ENV_MAX_RANK, 2, 0),
-            _budget_value(args.max_options, "--max-options", ENV_MAX_OPTIONS, 4, 1))
+    return (_budget_value(args.max_rank, "--max-rank", ENV_MAX_RANK, _DEFAULT_RANK, 0),
+            _budget_value(args.max_options, "--max-options", ENV_MAX_OPTIONS,
+                          _DEFAULT_OPTIONS, 1))
 
 
 def _emit(args, doc, text) -> None:

@@ -15,9 +15,10 @@ total order on interned games.
 
 The table is kept as parallel columns indexed by id: ``_NODES[g]`` is
 the pair (Left options, Right options), the same tuple object that keys
-``_TABLE``; ``_RANK[g]`` and ``_KEY[g]`` are the rank and the structural
-key; ``_FLAGS[g]`` packs the membership predicates into one small int,
-and each ``Universe`` member carries the bit that marks its games.
+``_TABLE``; ``_KEY[g]`` is the structural key, whose first entry is the
+rank, so no column repeats it; ``_FLAGS[g]`` packs the membership
+predicates into one small int, and each ``Universe`` member carries the
+bit that marks its games.
 ``mk_game`` appends ``_NODES`` after the other columns and writes
 ``_TABLE`` last, so an id that ``_validate_ids`` admits (it is bounded by
 ``len(_NODES)``) or that a lookup returns always has all its columns.
@@ -40,10 +41,14 @@ from typing import Iterable, Optional
 
 GameId = int
 
-# Seed of the sampled scans (lab) when the caller gives none.  It lives
-# here, with no dependencies, so the command line can read it without
-# loading the enumeration lab.
+# Seed of the sampled scans (lab) when the caller gives none, and the
+# default enumeration budget (max_rank, max_options) of the scans, the
+# distinguisher search and the command line.  They live here, with no
+# dependencies, so the command line can read them without loading the
+# enumeration lab.
 DEFAULT_SEED = 1729
+_DEFAULT_RANK = 2
+_DEFAULT_OPTIONS = 4
 
 
 class DomainError(ValueError):
@@ -127,14 +132,13 @@ class Record:
 
 _LOCK = threading.RLock()
 _NODES: list = []
-_RANK: list = []
 _KEY: list = []
 _FLAGS: list = []
 _TABLE: dict = {}
 
 # The bits of _FLAGS[g].
 _DICOT, _DEAD_ENDING, _DEAD_LEFT_END, _DEAD_RIGHT_END, _IMPARTIAL = 1, 2, 4, 8, 16
-_ALL = 31
+_ALL = _DICOT | _DEAD_ENDING | _DEAD_LEFT_END | _DEAD_RIGHT_END | _IMPARTIAL
 
 
 def _validate_ids(ids) -> None:
@@ -166,7 +170,6 @@ def mk_game(left: Iterable[GameId], right: Iterable[GameId]) -> GameId:
         found = _TABLE.get(pair)
         if found is not None:
             return found
-        opts = lt + rt
         # The flags that every Left option, and every Right option, carries.
         fl = functools.reduce(operator.and_, map(_FLAGS.__getitem__, lt), _ALL)
         fr = functools.reduce(operator.and_, map(_FLAGS.__getitem__, rt), _ALL)
@@ -180,10 +183,10 @@ def mk_game(left: Iterable[GameId], right: Iterable[GameId]) -> GameId:
             flags = _DEAD_RIGHT_END | _DEAD_ENDING if fl & _DEAD_RIGHT_END else 0
         else:  # the empty game
             flags = _ALL
-        rank = 1 + max(map(_RANK.__getitem__, opts)) if opts else 0
+        keys = tuple(map(_KEY.__getitem__, lt + rt))
+        rank = 1 + max(k[0] for k in keys) if keys else 0
         gid = len(_NODES)
-        _RANK.append(rank)
-        _KEY.append((rank, len(lt), len(rt)) + tuple(map(_KEY.__getitem__, opts)))
+        _KEY.append((rank, len(lt), len(rt)) + keys)
         _FLAGS.append(flags)
         _NODES.append(pair)
         _TABLE[pair] = gid
@@ -255,7 +258,7 @@ def right_options(g: GameId) -> tuple:
 
 def rank(g: GameId) -> int:
     """Height of the game tree; 0 exactly for the empty game."""
-    return _RANK[g]
+    return _KEY[g][0]
 
 
 _CONJ: dict = {}
@@ -400,4 +403,4 @@ def _describe(g: GameId) -> str:
     if length[g] <= _DESCRIBE_LIMIT:
         from . import notation
         return "game " + notation.print_game(g, "brace")
-    return "a game of rank %d with %d distinct subpositions" % (_RANK[g], len(subs))
+    return "a game of rank %d with %d distinct subpositions" % (_KEY[g][0], len(subs))

@@ -24,7 +24,8 @@ from collections import Counter
 from typing import Iterable, Optional
 
 from . import canonical, core, notation, ordering, outcomes
-from .core import DEFAULT_SEED, DomainError, GameId, ResourceError, Universe
+from .core import (DEFAULT_SEED, _DEFAULT_OPTIONS, _DEFAULT_RANK,
+                   DomainError, GameId, ResourceError, Universe)
 from .outcomes import Outcome, Result
 
 MAX_ENUM_RANK = 3
@@ -41,10 +42,17 @@ class EnumerationBudget(core.Record):
     max_options: int
     universe: Optional[Universe]
     node_cap: int
-    _defaults = {"max_rank": 2, "max_options": 4, "universe": None,
-                 "node_cap": DEFAULT_NODE_CAP}
+    _defaults = {"max_rank": _DEFAULT_RANK, "max_options": _DEFAULT_OPTIONS,
+                 "universe": None, "node_cap": DEFAULT_NODE_CAP}
 
     def _check(self):
+        for name in ("max_rank", "max_options", "node_cap"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError("%s must be an int, got %r" % (name, value))
+        if not isinstance(self.universe, (Universe, type(None))):
+            raise TypeError("universe must be a Universe or None, got %r"
+                            % (self.universe,))
         if self.max_rank < 0:
             raise ValueError("max_rank must be a natural number")
         if self.max_rank > MAX_ENUM_RANK:
@@ -345,12 +353,18 @@ def census(budget: Optional[EnumerationBudget] = None, *,
     buckets: dict = {}
     for g, c in canon.items():
         buckets.setdefault(c, []).append(g)
+    n = len(games)
+    pairs_checked = n * (n - 1) // 2
+    if sample_pairs is None or pairs_checked <= sample_pairs:
+        pairs = itertools.combinations(games, 2)
+    else:
+        # Two distinct indices i and j, with j drawn among the other n - 1.
+        rng = random.Random(seed)
+        draws = ((rng.randrange(n), rng.randrange(n - 1)) for _ in range(sample_pairs))
+        pairs = ((games[i], games[j + (j >= i)]) for i, j in draws)
+        pairs_checked = sample_pairs
     violations = []
-    pairs_checked = 0
-
-    def check(a: GameId, b: GameId):
-        nonlocal pairs_checked
-        pairs_checked += 1
+    for a, b in pairs:
         same_bucket = canon[a] == canon[b]
         equiv = ge(a, b) and ge(b, a)
         if same_bucket != equiv:
@@ -358,21 +372,6 @@ def census(budget: Optional[EnumerationBudget] = None, *,
                 "%s vs %s: canonical ids %s, equivalence %s" % (
                     notation.print_game(a), notation.print_game(b),
                     "agree" if same_bucket else "differ", equiv))
-
-    n = len(games)
-    total_pairs = n * (n - 1) // 2
-    if sample_pairs is None or total_pairs <= sample_pairs:
-        for i in range(n):
-            for j in range(i + 1, n):
-                check(games[i], games[j])
-    else:
-        rng = random.Random(seed)
-        for _ in range(sample_pairs):
-            i = rng.randrange(n)
-            j = rng.randrange(n - 1)
-            if j >= i:
-                j += 1
-            check(games[i], games[j])
     invertible_classes = set()
     for c in buckets:
         s = core.add(c, core.conjugate(c))
@@ -432,8 +431,8 @@ def scan_murder_theorems(max_index: int = 6, max_end_rank: int = 3) -> ScanRepor
                       {"max_index": max_index, "left_ends": len(ends)})
 
 
-def scan_conjugate_property(universe: Universe, max_rank: int = 2,
-                            max_options: int = 4) -> ScanReport:
+def scan_conjugate_property(universe: Universe, max_rank: int = _DEFAULT_RANK,
+                            max_options: int = _DEFAULT_OPTIONS) -> ScanReport:
     """Whenever a sum of two slice games is equivalent to zero, each
     summand must be equivalent to the other's conjugate."""
     u = universe
@@ -480,7 +479,8 @@ def scan_end_invertibility(max_rank: int = 3) -> ScanReport:
 
 
 def scan_cancellativity(universe: Universe, samples: int = 1000,
-                        max_rank: int = 2, max_options: int = 4,
+                        max_rank: int = _DEFAULT_RANK,
+                        max_options: int = _DEFAULT_OPTIONS,
                         seed: int = DEFAULT_SEED) -> ScanReport:
     """Comparison survives adding the same summand to both sides.
 
@@ -532,7 +532,8 @@ def scan_cancellativity(universe: Universe, samples: int = 1000,
 
 
 def scan_hand_tying(universe: Universe, samples: int = 1000,
-                    max_rank: int = 2, max_options: int = 4,
+                    max_rank: int = _DEFAULT_RANK,
+                    max_options: int = _DEFAULT_OPTIONS,
                     seed: int = DEFAULT_SEED) -> ScanReport:
     """Granting Left one extra option never hurts a Left who can move.
 
@@ -569,8 +570,8 @@ def scan_hand_tying(universe: Universe, samples: int = 1000,
 
 
 def scan_weak_avoidance(universe: Universe = Universe.DEAD_ENDING,
-                        max_rank: int = 2,
-                        max_options: int = 4) -> ScanReport:
+                        max_rank: int = _DEFAULT_RANK,
+                        max_options: int = _DEFAULT_OPTIONS) -> ScanReport:
     """When an end-reversible Left option wins a sum whose other part
     still has Left moves, some move in that other part wins as well."""
     u = universe
@@ -607,8 +608,8 @@ def scan_weak_avoidance(universe: Universe = Universe.DEAD_ENDING,
                        "applicable": applicable})
 
 
-def scan_normal_embedding(universe: Universe, max_rank: int = 2,
-                          max_options: int = 4,
+def scan_normal_embedding(universe: Universe, max_rank: int = _DEFAULT_RANK,
+                          max_options: int = _DEFAULT_OPTIONS,
                           sample_pairs: Optional[int] = None,
                           seed: int = DEFAULT_SEED) -> ScanReport:
     """Universe-relative comparison must imply normal-play comparison.

@@ -165,8 +165,8 @@ class Distinguisher(core.Record):
     INCONCLUSIVE = "inconclusive"
 
 
-def distinguish(g: GameId, h: GameId, u: Universe,
-                max_rank: int = 2, max_options: int = 4) -> Distinguisher:
+def distinguish(g: GameId, h: GameId, u: Universe, max_rank: int = core._DEFAULT_RANK,
+                max_options: int = core._DEFAULT_OPTIONS) -> Distinguisher:
     """Search u, by increasing rank in structural order, for a witness
     context whose sum changes the outcome; fall back on the subordinate
     test when none exists within the budget."""
@@ -175,9 +175,7 @@ def distinguish(g: GameId, h: GameId, u: Universe,
     from . import lab
 
     budget = (max_rank, max_options)
-    slice_budget = lab.EnumerationBudget(max_rank=max_rank,
-                                         max_options=max_options, universe=u)
-    for x in lab.enumerate_games(slice_budget):
+    for x in lab.enumerate_games(lab.EnumerationBudget(max_rank, max_options, u)):
         if sum_outcome(g, x) != sum_outcome(h, x):
             return Distinguisher(Distinguisher.FAILS, x, budget)
     if equivalent(g, h, u):

@@ -286,3 +286,26 @@ def test_census_text_counts_the_violations_it_does_not_list(monkeypatch):
     assert len(rep.violations) == 54
     assert sum(line.startswith("  VIOLATION: ") for line in lines) == 20
     assert lines[-1] == "  ... 34 more"
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"universe": "dicot"},
+    {"universe": D.value},
+    {"max_rank": 2.5},
+    {"max_rank": True},
+    {"max_options": 4.0},
+    {"max_options": "4"},
+    {"node_cap": None},
+    {"node_cap": False},
+])
+def test_budget_refuses_values_it_cannot_use(kwargs):
+    # Refused where the budget is built, not later inside enumerate_games.
+    with pytest.raises(TypeError):
+        EnumerationBudget(**kwargs)
+
+
+def test_budget_type_errors_name_the_field():
+    with pytest.raises(TypeError, match="universe must be a Universe or None"):
+        EnumerationBudget(2, 4, "dicot")
+    with pytest.raises(TypeError, match="max_rank must be an int, got 2.5"):
+        EnumerationBudget(2.5)

@@ -53,3 +53,23 @@ def test_stats_after_the_criterion_09_census_counts_pairs():
     assert counts["canonical._CANON"] == 3_695
     assert counts["core._SUMS"] == 6_243
     assert int(rows) == 3_617
+
+
+def test_stats_counts_the_outcome_vectors_of_one_test_set():
+    # The criterion-05 dicot loop: 10 games, each against the 10 dicots,
+    # share one test set and store one outcome vector per game, in one row.
+    out = _fresh("""if True:
+        import json, misere
+        from misere import EnumerationBudget as B, Universe
+        D = Universe.DICOT
+        dicots = misere.enumerate_games(B(2, 4, D))
+        print(json.dumps(misere.stats()))
+        for g in dicots:
+            for h in dicots:
+                misere.ge(g, h, D) == misere.definitional_ge_check(g, h, D, dicots)
+        print(json.dumps(misere.stats()))
+        """)
+    before, after = map(json.loads, out.splitlines())
+    assert before["ordering._TEST_SETS"] == before["ordering._OUTCOME_VECTORS"] == 0
+    assert after["ordering._TEST_SETS"] == 1
+    assert after["ordering._OUTCOME_VECTORS"] == 10
