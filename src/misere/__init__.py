@@ -5,8 +5,9 @@ comparison, canonical forms, text notation and empirical verification
 scans live in the sibling modules and are re-exported here.
 
 Names load on first use: ``import misere`` imports no submodule, and
-reading ``misere.ge`` (or ``misere.ordering``) imports the module that
-defines it, so a caller pays only for the modules it reads.
+reading ``misere.ge`` (or ``misere.ordering``, or any submodule named in
+``_TABLES``, ``misere.cli`` included) imports the module that defines it,
+so a caller pays only for the modules it reads.
 
 ``stats()`` counts the entries of every process-global memo table in the
 submodules loaded so far; it loads none itself.
@@ -103,7 +104,7 @@ def stats() -> dict:
 
 
 def __getattr__(name):
-    if name in _EXPORTS:
+    if name in _TABLES:
         value = importlib.import_module("." + name, __name__)
     elif name in _ORIGIN:
         value = getattr(importlib.import_module("." + _ORIGIN[name], __name__), name)

@@ -106,10 +106,14 @@ def _undominated(g: GameId, side: SimpleNamespace, u: Universe) -> GameId:
     opts = side.options(g)
     kept = []
     for a in opts:
-        if any(at_least(b, a) for b in kept):
-            continue
-        kept = [b for b in kept if not at_least(a, b)]
-        kept.append(a)
+        # A loop rather than any(): the first dominating sibling settles
+        # it, and no generator frame is added per option scanned.
+        for b in kept:
+            if at_least(b, a):
+                break
+        else:
+            kept = [b for b in kept if not at_least(a, b)]
+            kept.append(a)
     return g if len(kept) == len(opts) else side.replace(g, kept)
 
 

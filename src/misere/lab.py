@@ -61,6 +61,8 @@ class EnumerationBudget(core.Record):
                 "explodes doubly exponentially" % MAX_ENUM_RANK)
         if self.max_options < 1:
             raise ValueError("max_options must be at least 1")
+        if self.node_cap < 0:
+            raise ValueError("node_cap must be a natural number")
 
 
 def _sides(pool: list, cap: int) -> list:
@@ -111,6 +113,8 @@ def _dead_left_ends(max_rank: int, max_options: Optional[int],
         raise ValueError("max_rank must be a natural number")
     if max_options is not None and max_options < 0:
         raise ValueError("max_options must be a natural number")
+    if node_cap < 0:
+        raise ValueError("node_cap must be a natural number")
     accepted = [core.zero()]
     for r in range(1, max_rank + 1):
         pool = sorted(accepted, key=core.structural_key)

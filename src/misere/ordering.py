@@ -60,11 +60,17 @@ def _comparison(base, memo: dict) -> tuple:
                 (h, g, core.right_options, core.left_options, le)):
             ours = own(mine)
             for x in own(theirs):
-                if any(above(a, x) for a in ours):
-                    continue
-                if any(above(mine, b) for b in reply(x)):
-                    continue
-                return False
+                # Loops rather than any(): the first match settles it, and
+                # no generator frame is added per option scanned.
+                for a in ours:
+                    if above(a, x):
+                        break
+                else:
+                    for b in reply(x):
+                        if above(mine, b):
+                            break
+                    else:
+                        return False
         return True
 
     return ge, le

@@ -34,6 +34,17 @@ def test_remove_dominated_keeps_incomparable_options():
     assert misere.remove_dominated(g, E) == g
 
 
+@pytest.mark.parametrize("side", ["L", "R"])
+def test_remove_dominated_keeps_the_least_of_equivalent_options(side):
+    # *+* is equivalent to 0 among dicots; of the two, 0 is structurally
+    # least and stays, so both sides are {0} and the game is *.
+    both = [misere.zero(), misere.add(misere.star(), misere.star())]
+    g = misere.mk_game(both, [misere.zero()]) if side == "L" else \
+        misere.mk_game([misere.zero()], both)
+    assert misere.equivalent(both[0], both[1], D)
+    assert misere.remove_dominated(g, D) == misere.star()
+
+
 def test_find_reversible_none_cases():
     assert misere.find_reversible(misere.star(), "L", D) is None
     assert misere.find_reversible(misere.parse("{{0|-1}|0}"), "L", E) is None

@@ -42,6 +42,16 @@ def test_submodules_resolve_after_a_bare_import():
     assert proc.stdout.split() == ["misere.core", "misere.lab"]
 
 
+def test_every_table_module_resolves_after_a_bare_import():
+    # misere.stats() names the tables of every submodule, cli included.
+    script = ("import misere; "
+              "print(*(getattr(misere, m).__name__ for m in misere._TABLES))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["misere." + m for m in misere._TABLES]
+
+
 def test_package_names_are_the_submodule_objects():
     import misere.ordering
 

@@ -309,3 +309,15 @@ def test_budget_type_errors_name_the_field():
         EnumerationBudget(2, 4, "dicot")
     with pytest.raises(TypeError, match="max_rank must be an int, got 2.5"):
         EnumerationBudget(2.5)
+
+
+def test_a_negative_node_cap_is_refused():
+    # At rank 0 no level is examined, so the cap was never compared.
+    with pytest.raises(ValueError, match="node_cap must be a natural number"):
+        EnumerationBudget(0, 1, D, node_cap=-5)
+    with pytest.raises(ValueError, match="node_cap must be a natural number"):
+        misere.enumerate_dead_left_ends(0, node_cap=-5)
+    with pytest.raises(ValueError, match="node_cap must be a natural number"):
+        misere.enumerate_dead_right_ends(1, node_cap=-1)
+    # A cap of 0 is a natural number; the empty game needs no level.
+    assert misere.enumerate_games(EnumerationBudget(0, 1, D, node_cap=0)) == [misere.zero()]
