@@ -69,8 +69,7 @@ __all__ = sorted([*_ORIGIN, "stats"])
 _TABLES = {
     "core": ("_NODES", "_TABLE", "_INTEGERS", "_MURDERS", "_CONJ", "_SUMS"),
     "outcomes": ("_MIS_L", "_MIS_R", "_NOR_L", "_NOR_R", "_STRONG"),
-    "ordering": ("_GE_DICOT", "_GE_DEAD_ENDING", "_TEST_SETS",
-                 "_CHECKED_SETS", "_OUTCOME_VECTORS"),
+    "ordering": ("_GE_DICOT", "_GE_DEAD_ENDING", "_OUTCOME_VECTORS"),
     "canonical": ("_CANON",),
     "notation": ("_INT_VALUE", "_BRACE", "_NAMED"),
     "lab": ("_dead_left_ends", "_dead_right_ends"),

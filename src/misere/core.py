@@ -380,6 +380,9 @@ class Universe(enum.Enum):
 
 
 def require_member(g: GameId, u: Universe) -> None:
+    """ValueError unless g is an interned game id, DomainError unless it
+    lies in u."""
+    _validate_ids((g,))
     if not _FLAGS[g] & u.bit:
         raise DomainError("%s is not %s" % (_describe(g), u.value))
 

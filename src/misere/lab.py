@@ -10,8 +10,7 @@ come out in structural order and sampling uses an explicit seed.
 The dead-end sets are enumerated once per budget and cached; each call
 still returns a fresh list.  Checks that only ask who wins a sum, the
 brute-force strong outcomes among them, evaluate it on the pair of
-summands (``outcomes.sum_left_result`` and siblings) instead of interning
-it.
+summands (``outcomes.left_result`` and siblings) instead of interning it.
 """
 
 from __future__ import annotations
@@ -167,7 +166,7 @@ def brute_strong_left(g: GameId, max_end_rank: Optional[int] = None,
     core.require_member(g, Universe.DEAD_ENDING)
     bound = core.rank(g) + 1 if max_end_rank is None else max_end_rank
     ends = enumerate_dead_left_ends(bound, max_options)
-    return min(outcomes.sum_left_result(g, x) for x in ends)
+    return min(outcomes.left_result(g, x) for x in ends)
 
 
 def brute_strong_right(g: GameId, max_end_rank: Optional[int] = None,
@@ -175,7 +174,7 @@ def brute_strong_right(g: GameId, max_end_rank: Optional[int] = None,
     core.require_member(g, Universe.DEAD_ENDING)
     bound = core.rank(g) + 1 if max_end_rank is None else max_end_rank
     ends = enumerate_dead_right_ends(bound, max_options)
-    return max(outcomes.sum_right_result(g, x) for x in ends)
+    return max(outcomes.right_result(g, x) for x in ends)
 
 
 def sample_rank3_games(universe: Universe, max_options: int = 2,
@@ -350,6 +349,9 @@ def census(budget: Optional[EnumerationBudget] = None, *,
         games = enumerate_games(budget)
     elif universe is None:
         raise DomainError("census over an explicit game list needs a universe")
+    else:
+        games = list(games)
+        core._validate_ids(games)
     games = sorted(set(games), key=core.structural_key)
     u = universe
     canon = {g: canonical.canonical_form(g, u) for g in games}
@@ -448,7 +450,7 @@ def scan_conjugate_property(universe: Universe, max_rank: int = _DEFAULT_RANK,
     impartial_pairs = 0
     for i, g in enumerate(games):
         for h in games[i:]:
-            if outcomes.sum_outcome(g, h) != Outcome.N:
+            if outcomes.outcome(g, h) != Outcome.N:
                 continue
             checked += 1
             if not ordering.equivalent(core.add(g, h), zero, u):
@@ -597,10 +599,10 @@ def scan_weak_avoidance(universe: Universe = Universe.DEAD_ENDING,
         for a in end_reversible:
             for x in xs:
                 checked += 1
-                if outcomes.sum_right_result(a, x) != Result.L:
+                if outcomes.right_result(a, x) != Result.L:
                     continue
                 applicable += 1
-                if not any(outcomes.sum_right_result(g, xl) == Result.L
+                if not any(outcomes.right_result(g, xl) == Result.L
                            for xl in core.left_options(x)):
                     violations.append(
                         "%s wins via %s against %s with no move in the "

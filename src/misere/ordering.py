@@ -15,7 +15,8 @@ test set; it exists so the subordinate test can be cross-validated and so
 games outside the universe can still be probed.  It is a finite form of
 the indistinguishability relation of misère quotients (Plambeck & Siegel,
 JCTA 2008): each game's results against the set are two bit vectors,
-memoised per game and set, and each set is validated once per universe.
+kept in one row per universe and set, and a row is made only once every
+game of its set is known to lie in its universe.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from typing import Iterable, Optional
 
 from . import core, outcomes
 from .core import DomainError, GameId, Universe
-from .outcomes import (Result, outcome_ge, sum_left_result, sum_outcome,
-                       sum_right_result)
+from .outcomes import Result, left_result, outcome, outcome_ge, right_result
 
 
 def _comparison(base, memo: dict) -> tuple:
@@ -98,30 +98,27 @@ def equivalent(g: GameId, h: GameId, u: Universe) -> bool:
 
 def ge_normal(g: GameId, h: GameId) -> bool:
     """Normal-play comparison: Left playing second wins g plus conjugate(h)."""
-    return outcomes.normal_sum_right_result(g, core.conjugate(h)) == Result.L
+    return outcomes.normal_right_result(g, core.conjugate(h)) == Result.L
 
 
-# The definitional check's tables.  A test set is interned by its contents
-# to a small index; (index, u) is in _CHECKED_SETS once every game of the
-# set is known to lie in u; _OUTCOME_VECTORS[index][g] holds g's results
-# against the set as two bit vectors, in one row per set.  (No name here
-# starts with _GE: those are the memos of the bound comparison.)
-_TEST_SETS: dict = {}
-_CHECKED_SETS: set = set()
+# The definitional check's table: _OUTCOME_VECTORS[(u, tests)][g] holds g's
+# results against the test set as two bit vectors, in one row per universe
+# and set; a row exists only once every game of its set lies in u.  (No
+# name here starts with _GE: those are the memos of the bound comparison.)
 _OUTCOME_VECTORS: dict = {}
 
 
 def _outcome_vector(g: GameId, vectors: dict, tests: tuple) -> tuple:
     """(Left-first bits, Right-first bits) of g against tests: bit i is set
     when Left wins g + tests[i] with that player moving first.  vectors is
-    the set's row of _OUTCOME_VECTORS."""
+    the (u, tests) row of _OUTCOME_VECTORS."""
     v = vectors.get(g)
     if v is None:
         left = right = 0
         for i, x in enumerate(tests):
-            if sum_left_result(g, x):
+            if left_result(g, x):
                 left |= 1 << i
-            if sum_right_result(g, x):
+            if right_result(g, x):
                 right |= 1 << i
         v = vectors[g] = (left, right)
     return v
@@ -139,13 +136,13 @@ def definitional_ge_check(g: GameId, h: GameId, u: Universe,
     one per player moving first, so g >= h over the set is two AND-NOTs.
     Each distinct set (by contents) is validated once per universe.
     """
+    core._validate_ids((g, h))
     tests = tuple(test_set)
-    index = _TEST_SETS.setdefault(tests, len(_TEST_SETS))
-    if (index, u) not in _CHECKED_SETS:
+    vectors = _OUTCOME_VECTORS.get((u, tests))
+    if vectors is None:
         for x in tests:
             core.require_member(x, u)
-        _CHECKED_SETS.add((index, u))
-    vectors = _OUTCOME_VECTORS.setdefault(index, {})
+        vectors = _OUTCOME_VECTORS[(u, tests)] = {}
     g_left, g_right = _outcome_vector(g, vectors, tests)
     h_left, h_right = _outcome_vector(h, vectors, tests)
     # outcome_ge on every sum: no x where h + x wins for Left and g + x not.
@@ -182,7 +179,7 @@ def distinguish(g: GameId, h: GameId, u: Universe, max_rank: int = core._DEFAULT
 
     budget = (max_rank, max_options)
     for x in lab.enumerate_games(lab.EnumerationBudget(max_rank, max_options, u)):
-        if sum_outcome(g, x) != sum_outcome(h, x):
+        if outcome(g, x) != outcome(h, x):
             return Distinguisher(Distinguisher.FAILS, x, budget)
     if equivalent(g, h, u):
         return Distinguisher(Distinguisher.HOLDS, None, budget)

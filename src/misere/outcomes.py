@@ -13,11 +13,10 @@ There is one recursion, on pairs: each result function takes a sum
 g + h as the pair of ids (g, h), with h = 0 by default, so
 ``left_result(g)`` is g alone and no sum is interned just to be
 evaluated.  The four are the functions ``_convention`` builds, each body
-written once for the player to move.  The ``sum_*`` names are the same
-functions, and ``sum_outcome`` is ``outcome``.  ``strong_outcome`` is
-checked against the brute force in ``lab``, which plays every dead end
-up to a rank bound on pairs, and against the frozenset reference in the
-tests, which builds each sum explicitly.
+written once for the player to move.  ``strong_outcome`` is checked
+against the brute force in ``lab``, which plays every dead end up to a
+rank bound on pairs, and against the frozenset reference in the tests,
+which builds each sum explicitly.
 
 Strong outcomes refine misère outcomes for dead-ending games: they ask
 who wins when an arbitrary dead end is placed alongside the game.  The
@@ -128,22 +127,16 @@ def _convention(prefix: str, name: str, at_left_end: Result,
 _MIS_L: dict = {}
 _MIS_R: dict = {}
 left_result, right_result = _convention("", "misère", Result.L, _MIS_L, _MIS_R)
-sum_left_result, sum_right_result = left_result, right_result
 
 _NOR_L: dict = {}
 _NOR_R: dict = {}
 normal_left_result, normal_right_result = _convention(
     "normal_", "normal", Result.R, _NOR_L, _NOR_R)
-normal_sum_left_result, normal_sum_right_result = (normal_left_result,
-                                                   normal_right_result)
 
 
 def outcome(g: GameId, h: GameId = _ZERO) -> Outcome:
     """Misère outcome of g + h (h = 0 by default), without interning the sum."""
     return _OUTCOMES[left_result(g, h)][right_result(g, h)]
-
-
-sum_outcome = outcome
 
 
 def normal_outcome(g: GameId) -> Outcome:
@@ -188,9 +181,5 @@ def strong_right_outcome(g: GameId) -> Result:
     return strong_outcome(g).right
 
 
+# The outcome a comparison in a universe starts from, as ordering binds it.
 _BASE = {Universe.DICOT: outcome, Universe.DEAD_ENDING: strong_outcome}
-
-
-def base_outcome(g: GameId, u: Universe) -> Outcome:
-    """The outcome a comparison in u starts from, as ordering binds it."""
-    return _BASE[u](g)

@@ -247,3 +247,25 @@ def test_universe_membership_matches_predicates():
     for g in nodes:
         assert D.contains(g) == misere.is_dicot(g)
         assert E.contains(g) == misere.is_dead_ending(g)
+
+
+# Ids that are not games: a negative index would read from the end of the
+# intern table, a bool is an int, and one past the end indexes nothing.
+NOT_GAMES = {"negative": lambda: -1, "bool": lambda: True,
+             "past-the-end": lambda: len(core._NODES)}
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: misere.ge(g, misere.zero(), D),
+    lambda g: misere.equivalent(misere.zero(), g, E),
+    lambda g: misere.definitional_ge_check(misere.zero(), g, D, [misere.zero()]),
+    lambda g: misere.canonical_form(g, D),
+    lambda g: misere.remove_dominated(g, D),
+    lambda g: misere.brute_strong_left(g),
+    lambda g: misere.census(games=[misere.zero(), g], universe=D),
+], ids=["ge", "equivalent", "definitional_ge_check", "canonical_form",
+        "remove_dominated", "brute_strong_left", "census"])
+@pytest.mark.parametrize("bad", NOT_GAMES.values(), ids=NOT_GAMES.keys())
+def test_membership_checks_refuse_ids_that_are_not_games(call, bad):
+    with pytest.raises(ValueError, match="not an interned game id"):
+        call(bad())

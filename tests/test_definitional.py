@@ -5,7 +5,7 @@ import pytest
 
 import misere
 from misere import DomainError, EnumerationBudget, Universe, ordering
-from misere.outcomes import outcome_ge, sum_outcome
+from misere.outcomes import outcome, outcome_ge
 
 D = Universe.DICOT
 E = Universe.DEAD_ENDING
@@ -17,14 +17,14 @@ def reference(g, h, u, test_set):
     for x in tests:
         if not u.contains(x):
             raise DomainError("not in %s" % u.value)
-    return all(outcome_ge(sum_outcome(g, x), sum_outcome(h, x)) for x in tests)
+    return all(outcome_ge(outcome(g, x), outcome(h, x)) for x in tests)
 
 
 def test_agrees_with_a_per_game_loop_on_the_dead_ending_slice():
     des = misere.enumerate_games(EnumerationBudget(2, 4, E))
     # Every x is dead-ending, so the loop need not check membership; the
     # outcome of each g + x is read once, then compared x by x.
-    row = {g: [sum_outcome(g, x) for x in des] for g in des}
+    row = {g: [outcome(g, x) for x in des] for g in des}
     disagreements = []
     for g in des:
         for h in des:
@@ -69,6 +69,15 @@ def test_a_non_member_anywhere_in_the_set_raises_on_every_call():
             ordering.definitional_ge_check(zero, star, D, tests)
         with pytest.raises(DomainError, match="is not dicot"):
             ordering.definitional_ge_check(zero, zero, D, iter(tests))
+
+
+def test_a_refused_set_leaves_no_row():
+    tests = (misere.zero(), misere.integer(1))  # 1 is not a dicot
+    with pytest.raises(DomainError):
+        ordering.definitional_ge_check(misere.zero(), misere.zero(), D, tests)
+    assert (D, tests) not in ordering._OUTCOME_VECTORS
+    assert ordering.definitional_ge_check(misere.zero(), misere.zero(), E, tests)
+    assert (E, tests) in ordering._OUTCOME_VECTORS
 
 
 def test_games_compared_may_lie_outside_the_universe():

@@ -321,3 +321,20 @@ def test_a_negative_node_cap_is_refused():
         misere.enumerate_dead_right_ends(1, node_cap=-1)
     # A cap of 0 is a natural number; the empty game needs no level.
     assert misere.enumerate_games(EnumerationBudget(0, 1, D, node_cap=0)) == [misere.zero()]
+
+
+def test_conjugate_scan_catches_a_wrong_conjugate(monkeypatch):
+    monkeypatch.setattr(misere.core, "conjugate", lambda g: g)
+    rep = misere.scan_conjugate_property(D)
+    assert (rep.ok, rep.checked, len(rep.violations)) == (False, 20, 6)
+    planted = "{0|*} + {*|0} ~ 0 but {*|0} !~ conjugate({0|*})"
+    assert planted in rep.violations
+    assert "  VIOLATION: " + planted in rep.render_text().splitlines()
+
+
+def test_end_scan_catches_a_sum_that_does_not_cancel(monkeypatch):
+    monkeypatch.setattr(misere.canonical, "canonical_form", lambda g, u: g)
+    rep = misere.scan_end_invertibility()
+    assert not rep.ok
+    assert any(line.startswith("  VIOLATION: ")
+               for line in rep.render_text().splitlines())

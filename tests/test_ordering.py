@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 
@@ -126,3 +128,22 @@ def test_distinguish_can_be_inconclusive():
 def test_distinguish_respects_membership():
     with pytest.raises(DomainError):
         misere.distinguish(misere.integer(1), misere.zero(), D)
+
+
+def test_dead_ending_order_refines_the_dicot_order():
+    # D is a subset of E, so a context of D is one of E: g >= h in E
+    # implies g >= h in D for dicots g and h.
+    rank2 = {misere.canonical_form(g, D)
+             for g in misere.enumerate_games(misere.EnumerationBudget(2, 4, D))}
+    assert len(rank2) == 9
+    pairs = [(g, h) for g in rank2 for h in rank2]
+    rank3 = sorted({misere.canonical_form(g, D) for g in
+                    misere.enumerate_games(misere.EnumerationBudget(3, 2, D))},
+                   key=misere.structural_key)
+    assert len(rank3) == 442
+    rng = random.Random(1729)
+    drawn = [(rng.choice(rank3), rng.choice(rank3)) for _ in range(20_000)]
+    assert (sum(misere.ge(*p, E) for p in drawn),
+            sum(misere.ge(*p, D) for p in drawn)) == (1_506, 1_759)
+    assert [p for p in pairs + drawn
+            if misere.ge(*p, E) and not misere.ge(*p, D)] == []

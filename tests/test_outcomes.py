@@ -144,11 +144,11 @@ def test_strong_outcome_never_improves_on_plain(g):
     assert misere.strong_right_outcome(g) >= misere.right_result(g)
 
 
-def test_base_outcome_switches_on_universe():
+def test_base_table_switches_on_universe():
     from misere import outcomes
     g = misere.parse("{*|0}")
-    assert outcomes.base_outcome(g, Universe.DICOT) == misere.outcome(g)
-    assert outcomes.base_outcome(g, E) == misere.strong_outcome(g)
+    assert outcomes._BASE[Universe.DICOT](g) == misere.outcome(g)
+    assert outcomes._BASE[E](g) == misere.strong_outcome(g)
 
 
 
@@ -169,13 +169,3 @@ def test_result_functions_are_named_documented_and_picklable(name):
     assert ("right" if "right" in name else "left" if "left" in name
             else "outcome") in doc
     assert ("normal" if name.startswith("normal_") else "misère") in doc
-
-
-def test_sum_names_are_the_result_functions():
-    from misere import outcomes
-    for name in RESULT_FUNCTIONS + ["outcome"]:
-        sum_name = ("normal_sum_" + name[7:] if name.startswith("normal_")
-                    else "sum_" + name)
-        assert getattr(outcomes, sum_name) is getattr(outcomes, name)
-    g = misere.star()
-    assert outcomes.outcome(g) == outcomes.outcome(g, misere.zero())

@@ -18,19 +18,13 @@ from misere import EnumerationBudget, ResourceError, Universe, core, lab, outcom
 D = Universe.DICOT
 E = Universe.DEAD_ENDING
 
-# (pair function, single-game function of the interned sum)
-PAIRED = [
-    (outcomes.sum_left_result, outcomes.left_result),
-    (outcomes.sum_right_result, outcomes.right_result),
-    (outcomes.sum_outcome, outcomes.outcome),
-    (outcomes.normal_sum_left_result, outcomes.normal_left_result),
-    (outcomes.normal_sum_right_result, outcomes.normal_right_result),
-]
+# Each takes a sum as the pair (g, h) or as one interned game.
+RESULTS = [outcomes.left_result, outcomes.right_result, outcomes.outcome,
+           outcomes.normal_left_result, outcomes.normal_right_result]
 
 
-@pytest.mark.parametrize("pair, single", PAIRED,
-                         ids=[p.__name__ for p, _ in PAIRED])
-def test_pair_results_match_interned_sum(pair, single):
+@pytest.mark.parametrize("f", RESULTS, ids=[f.__name__ for f in RESULTS])
+def test_pair_results_match_interned_sum(f):
     # Every ordered pair of the rank-2 dead-ending slice, which holds the
     # rank-2 dicot slice and 0; pairs of two non-empty dicots never reach
     # an end of the sum, pairs of dead ends do.
@@ -38,18 +32,18 @@ def test_pair_results_match_interned_sum(pair, single):
     dead_ending = misere.enumerate_games(EnumerationBudget(2, 4, E))
     assert misere.zero() in dicots and set(dicots) <= set(dead_ending)
     mismatches = [(g, h) for g in dead_ending for h in dead_ending
-                  if pair(g, h) != single(core.add(g, h))]
+                  if f(g, h) != f(core.add(g, h))]
     assert mismatches == []
 
 
 def test_pair_results_of_named_sums():
     one, star = misere.integer(1), misere.star()
     # misère: Right never has a move in 1 + 1, so Right wins either way
-    assert outcomes.sum_outcome(one, one) == misere.Outcome.R
+    assert outcomes.outcome(one, one) == misere.Outcome.R
     # * + * is N in misère play and P in normal play
-    assert outcomes.sum_outcome(star, star) == misere.Outcome.N
-    assert outcomes.normal_sum_left_result(star, star) == misere.Result.R
-    assert outcomes.normal_sum_right_result(star, star) == misere.Result.L
+    assert outcomes.outcome(star, star) == misere.Outcome.N
+    assert outcomes.normal_left_result(star, star) == misere.Result.R
+    assert outcomes.normal_right_result(star, star) == misere.Result.L
 
 
 def test_brute_force_strong_outcomes_intern_nothing_once_ends_exist():

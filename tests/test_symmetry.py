@@ -100,10 +100,10 @@ def test_sum_results_mirror(pair_slice):
     _, gs, conj = pair_slice
     for g in gs:
         for h in gs:
-            assert outcomes.sum_right_result(g, h) == \
-                flip(outcomes.sum_left_result(conj[g], conj[h]))
-            assert outcomes.normal_sum_right_result(g, h) == \
-                flip(outcomes.normal_sum_left_result(conj[g], conj[h]))
+            assert outcomes.right_result(g, h) == \
+                flip(outcomes.left_result(conj[g], conj[h]))
+            assert outcomes.normal_right_result(g, h) == \
+                flip(outcomes.normal_left_result(conj[g], conj[h]))
 
 
 def test_invertibility_needs_one_comparison(pair_slice):
