@@ -71,7 +71,7 @@ _TABLES = {
     "outcomes": ("_MIS_L", "_MIS_R", "_NOR_L", "_NOR_R", "_STRONG"),
     "ordering": ("_GE_DICOT", "_GE_DEAD_ENDING", "_OUTCOME_VECTORS"),
     "canonical": ("_CANON",),
-    "notation": ("_INT_VALUE", "_BRACE", "_NAMED"),
+    "notation": ("_BRACE", "_NAMED"),
     "lab": ("_dead_left_ends", "_dead_right_ends"),
     "cli": ("_PARSERS",),
 }

@@ -7,8 +7,9 @@ refused when it exceeds the node cap, because the number of forms grows
 doubly exponentially with rank.  Everything here is deterministic: slices
 come out in structural order and sampling uses an explicit seed.
 
-The dead-end sets are enumerated once per budget and cached; each call
-still returns a fresh list.  Checks that only ask who wins a sum, the
+The dead-end sets are enumerated once per budget and cached; the public
+enumerators return a fresh list each call, and the brute force reads the
+cached tuples as they are.  Checks that only ask who wins a sum, the
 brute-force strong outcomes among them, evaluate it on the pair of
 summands (``outcomes.left_result`` and siblings) instead of interning it.
 """
@@ -148,32 +149,29 @@ def enumerate_dead_right_ends(max_rank: int, max_options: Optional[int] = None,
     return list(_dead_right_ends(max_rank, max_options, node_cap))
 
 
-def enumerate_dead_ends(max_rank: int, max_options: Optional[int] = None) -> list:
-    """Every dead end of rank <= max_rank under the option cap, in structural order."""
-    both = set(enumerate_dead_left_ends(max_rank, max_options))
-    both.update(enumerate_dead_right_ends(max_rank, max_options))
+def enumerate_dead_ends(max_rank: int) -> list:
+    """Every dead end of rank <= max_rank, in structural order."""
+    both = set(_dead_left_ends(max_rank, None, DEFAULT_NODE_CAP))
+    both.update(_dead_right_ends(max_rank, None, DEFAULT_NODE_CAP))
     return sorted(both, key=core.structural_key)
 
 
-def brute_strong_left(g: GameId, max_end_rank: Optional[int] = None,
-                      max_options: Optional[int] = None) -> Result:
+# The cached tuples are read with the arguments in the public wrappers'
+# order, positionally, so that all of them share one cache entry per budget.
+def brute_strong_left(g: GameId, max_options: Optional[int] = None) -> Result:
     """Worst Left result over explicitly enumerated dead Left-ends.
 
     Independent of the closed-form computation in outcomes: this one
-    plays out every attack up to the rank bound (rank of g plus one by
-    default).
+    plays out every attack on a dead Left-end of rank at most rank(g) + 1.
     """
     core.require_member(g, Universe.DEAD_ENDING)
-    bound = core.rank(g) + 1 if max_end_rank is None else max_end_rank
-    ends = enumerate_dead_left_ends(bound, max_options)
+    ends = _dead_left_ends(core.rank(g) + 1, max_options, DEFAULT_NODE_CAP)
     return min(outcomes.left_result(g, x) for x in ends)
 
 
-def brute_strong_right(g: GameId, max_end_rank: Optional[int] = None,
-                       max_options: Optional[int] = None) -> Result:
+def brute_strong_right(g: GameId, max_options: Optional[int] = None) -> Result:
     core.require_member(g, Universe.DEAD_ENDING)
-    bound = core.rank(g) + 1 if max_end_rank is None else max_end_rank
-    ends = enumerate_dead_right_ends(bound, max_options)
+    ends = _dead_right_ends(core.rank(g) + 1, max_options, DEFAULT_NODE_CAP)
     return max(outcomes.right_result(g, x) for x in ends)
 
 
@@ -486,20 +484,20 @@ def scan_end_invertibility(max_rank: int = 3) -> ScanReport:
 
 def scan_cancellativity(universe: Universe, samples: int = 1000,
                         max_rank: int = _DEFAULT_RANK,
-                        max_options: int = _DEFAULT_OPTIONS,
-                        seed: int = DEFAULT_SEED) -> ScanReport:
+                        max_options: int = _DEFAULT_OPTIONS) -> ScanReport:
     """Comparison survives adding the same summand to both sides.
 
     The compared pair is drawn from the slice's ge-true pairs so no
     sample is vacuous.  Summands that are dead ends are invertible, so
     for those the comparison must also survive cancelling them again:
-    there the implication tightens to an equality of verdicts.
+    there the implication tightens to an equality of verdicts.  Draws
+    with DEFAULT_SEED, which the report records.
     """
     _require_count("samples", samples)
     u = universe
     games = enumerate_games(EnumerationBudget(max_rank, max_options, u))
     ends = [e for e in enumerate_dead_ends(max_rank) if u.contains(e)]
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     violations = []
     forward = 0
     converse = 0
@@ -534,24 +532,24 @@ def scan_cancellativity(universe: Universe, samples: int = 1000,
     return ScanReport("cancellativity", u.value,
                       forward + converse, tuple(violations),
                       {"games": len(games), "forward": forward,
-                       "invertible_converse": converse}, seed)
+                       "invertible_converse": converse}, DEFAULT_SEED)
 
 
 def scan_hand_tying(universe: Universe, samples: int = 1000,
                     max_rank: int = _DEFAULT_RANK,
-                    max_options: int = _DEFAULT_OPTIONS,
-                    seed: int = DEFAULT_SEED) -> ScanReport:
+                    max_options: int = _DEFAULT_OPTIONS) -> ScanReport:
     """Granting Left one extra option never hurts a Left who can move.
 
     The widened game has to stay inside the universe, which restricts
     which options may join a Right-end in the dead-ending universe; such
-    draws are redrawn and reported separately.
+    draws are redrawn and reported separately.  Draws with DEFAULT_SEED,
+    which the report records.
     """
     _require_count("samples", samples)
     u = universe
     games = enumerate_games(EnumerationBudget(max_rank, max_options, u))
     movers = [g for g in games if core.left_options(g)]
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     violations = []
     checked = 0
     skipped = 0
@@ -572,7 +570,7 @@ def scan_hand_tying(universe: Universe, samples: int = 1000,
                     notation.print_game(g), notation.print_game(a)))
     return ScanReport("hand-tying", u.value, checked, tuple(violations),
                       {"games": len(games), "movers": len(movers),
-                       "skipped_outside_universe": skipped}, seed)
+                       "skipped_outside_universe": skipped}, DEFAULT_SEED)
 
 
 def scan_weak_avoidance(universe: Universe = Universe.DEAD_ENDING,
@@ -615,36 +613,20 @@ def scan_weak_avoidance(universe: Universe = Universe.DEAD_ENDING,
 
 
 def scan_normal_embedding(universe: Universe, max_rank: int = _DEFAULT_RANK,
-                          max_options: int = _DEFAULT_OPTIONS,
-                          sample_pairs: Optional[int] = None,
-                          seed: int = DEFAULT_SEED) -> ScanReport:
-    """Universe-relative comparison must imply normal-play comparison.
-
-    Checks every ordered pair of the slice when sample_pairs is None, and
-    the report's seed is then None; otherwise checks sample_pairs pairs
-    drawn with the seed.
-    """
-    if sample_pairs is not None:
-        _require_count("sample_pairs", sample_pairs)
+                          max_options: int = _DEFAULT_OPTIONS) -> ScanReport:
+    """Universe-relative comparison must imply normal-play comparison,
+    on every ordered pair of the slice."""
     u = universe
     games = enumerate_games(EnumerationBudget(max_rank, max_options, u))
     violations = []
-    checked = 0
     ge_true = 0
-    if sample_pairs is None:
-        pairs = ((g, h) for g in games for h in games)
-    else:
-        rng = random.Random(seed)
-        pairs = ((rng.choice(games), rng.choice(games))
-                 for _ in range(sample_pairs))
-    for g, h in pairs:
-        checked += 1
-        if ordering.ge(g, h, u):
-            ge_true += 1
-            if not ordering.ge_normal(g, h):
-                violations.append(
-                    "%s >= %s in %s but not under normal play" % (
-                        notation.print_game(g), notation.print_game(h), u.value))
-    return ScanReport("embedding", u.value, checked, tuple(violations),
-                      {"games": len(games), "ge_true": ge_true},
-                      None if sample_pairs is None else seed)
+    for g in games:
+        for h in games:
+            if ordering.ge(g, h, u):
+                ge_true += 1
+                if not ordering.ge_normal(g, h):
+                    violations.append(
+                        "%s >= %s in %s but not under normal play" % (
+                            notation.print_game(g), notation.print_game(h), u.value))
+    return ScanReport("embedding", u.value, len(games) ** 2, tuple(violations),
+                      {"games": len(games), "ge_true": ge_true})

@@ -162,26 +162,26 @@ def parse(text: str, max_nodes: int = DEFAULT_NODE_BUDGET) -> GameId:
     return _Parser(text, max_nodes).parse()
 
 
-_INT_VALUE: dict = {core.zero(): 0}
-
-
 def integer_value(g: GameId) -> Optional[int]:
-    """The n with g identical to integer(n), if there is one."""
-    if g in _INT_VALUE:
-        return _INT_VALUE[g]
-    left = core.left_options(g)
-    right = core.right_options(g)
-    v = None
-    if not right and len(left) == 1:
-        child = integer_value(left[0])
-        if child is not None and child >= 0:
-            v = child + 1
-    elif not left and len(right) == 1:
-        child = integer_value(right[0])
-        if child is not None and child <= 0:
-            v = child - 1
-    _INT_VALUE[g] = v
-    return v
+    """The n with g identical to integer(n), if there is one.
+
+    Walks the chain n = {n-1|} (or -n = {|-(n-1)}) down to 0: each step
+    goes through a lone option with nothing on the other side, always on
+    the side the first step took, which the sign of n records.
+    """
+    core._validate_ids((g,))
+    zero = core.zero()
+    n = 0
+    while g != zero:
+        left = core.left_options(g)
+        right = core.right_options(g)
+        if n >= 0 and not right and len(left) == 1:
+            g, n = left[0], n + 1
+        elif n <= 0 and not left and len(right) == 1:
+            g, n = right[0], n - 1
+        else:
+            return None
+    return n
 
 
 def murder_value(g: GameId) -> Optional[int]:
@@ -190,6 +190,7 @@ def murder_value(g: GameId) -> Optional[int]:
     Walks the chain M(n) = {|0, M(n-1)} down to 0 and builds no game,
     so printing interns nothing.
     """
+    core._validate_ids((g,))
     zero = core.zero()
     n = 0
     while g != zero:
@@ -234,6 +235,7 @@ def _render(g: GameId, named: bool) -> str:
 
 def print_game(g: GameId, style: str = "named") -> str:
     """Render a game; parse(print_game(g, style)) gives back g."""
+    core._validate_ids((g,))
     if style == "named":
         return _render(g, True)
     if style == "brace":
@@ -243,9 +245,14 @@ def print_game(g: GameId, style: str = "named") -> str:
 
 def to_interchange(g: GameId) -> dict:
     """Nested {"L": [...], "R": [...]} document for the full tree."""
+    core._validate_ids((g,))
+    return _interchange(g)
+
+
+def _interchange(g: GameId) -> dict:
     return {
-        "L": [to_interchange(x) for x in core.left_options(g)],
-        "R": [to_interchange(x) for x in core.right_options(g)],
+        "L": [_interchange(x) for x in core.left_options(g)],
+        "R": [_interchange(x) for x in core.right_options(g)],
     }
 
 

@@ -227,6 +227,10 @@ def test_games_deeper_than_the_recursion_limit_exit_5(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_deep_integer_sums_print_in_named_form(capsys):
+    assert run(capsys, "sum", "3000") == (0, "3000\n", "")
+
+
 def test_reduction_pass_cap_exits_5(capsys, monkeypatch):
     from misere import canonical
 

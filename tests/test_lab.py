@@ -144,8 +144,6 @@ def test_scan_normal_embedding():
 
 def test_scan_normal_embedding_reports_seed_only_when_sampling():
     assert misere.scan_normal_embedding(D, max_rank=1).seed is None
-    rep = misere.scan_normal_embedding(D, max_rank=1, sample_pairs=5, seed=99)
-    assert (rep.checked, rep.seed) == (5, 99)
 
 
 def test_scan_cancellativity():
@@ -172,7 +170,6 @@ def test_scan_hand_tying_without_movers():
 @pytest.mark.parametrize("scan,kwargs", [
     (misere.scan_hand_tying, {"samples": -1}),
     (misere.scan_cancellativity, {"samples": -1}),
-    (misere.scan_normal_embedding, {"sample_pairs": -1}),
 ])
 def test_scans_refuse_negative_sample_counts(scan, kwargs):
     with pytest.raises(ValueError):
@@ -266,8 +263,6 @@ def test_dead_end_enumerators_refuse_a_negative_budget():
     with pytest.raises(ValueError, match="max_options must be a natural number"):
         misere.enumerate_dead_left_ends(2, max_options=-1)
     with pytest.raises(ValueError):
-        misere.brute_strong_left(misere.parse("{|0}"), max_end_rank=-1)
-    with pytest.raises(ValueError):
         misere.scan_end_invertibility(max_rank=-1)
     # no option per side still leaves the empty game
     assert misere.enumerate_dead_left_ends(2, max_options=0) == [misere.zero()]
@@ -337,4 +332,30 @@ def test_end_scan_catches_a_sum_that_does_not_cancel(monkeypatch):
     rep = misere.scan_end_invertibility()
     assert not rep.ok
     assert any(line.startswith("  VIOLATION: ")
+               for line in rep.render_text().splitlines())
+
+
+def test_embedding_scan_catches_a_wrong_normal_comparison(monkeypatch):
+    monkeypatch.setattr(misere.ordering, "ge_normal", lambda g, h: False)
+    rep = misere.scan_normal_embedding(D)
+    assert (rep.ok, rep.checked, len(rep.violations)) == (False, 100, 30)
+    planted = "0 >= 0 in dicot but not under normal play"
+    assert planted in rep.violations
+    assert "  VIOLATION: " + planted in rep.render_text().splitlines()
+
+
+def test_murder_scan_catches_a_wrong_comparison(monkeypatch):
+    monkeypatch.setattr(misere.ordering, "ge", lambda g, h, u: False)
+    rep = misere.scan_murder_theorems()
+    assert (rep.ok, rep.checked, len(rep.violations)) == (False, 58, 50)
+    planted = "murder(1) >= murder(2) fails"
+    assert planted in rep.violations
+    assert "  VIOLATION: " + planted in rep.render_text().splitlines()
+
+
+def test_hand_tying_scan_catches_a_wrong_comparison(monkeypatch):
+    monkeypatch.setattr(misere.ordering, "ge", lambda g, h, u: False)
+    rep = misere.scan_hand_tying(E, samples=60, max_rank=2, max_options=2)
+    assert (rep.ok, len(rep.violations)) == (False, 60)
+    assert any(line.startswith("  VIOLATION: widening ")
                for line in rep.render_text().splitlines())

@@ -74,6 +74,25 @@ def test_integer_and_murder_recognizers():
     assert misere.murder_value(misere.integer(2)) is None
 
 
+def test_integer_value_walks_chains_of_any_depth():
+    for n in [*range(-60, 61), 20_000]:
+        assert misere.integer_value(misere.integer(n)) == n
+    # A chain over *, a chain that turns, a murder and a switch.
+    for text in ("{{*|}|}", "{{|0}|}", "M(2)", "{1|-1}"):
+        assert misere.integer_value(misere.parse(text)) is None
+
+
+@pytest.mark.parametrize("fn", [misere.print_game, misere.integer_value,
+                                misere.murder_value, misere.to_interchange])
+@pytest.mark.parametrize("bad", [lambda: -1, lambda: True,
+                                 lambda: len(misere.core._NODES)],
+                         ids=["negative", "bool", "past-the-end"])
+def test_entry_points_refuse_ids_that_are_not_games(fn, bad):
+    # Called at test time: the intern table grows as tests run.
+    with pytest.raises(ValueError, match="not an interned game id"):
+        fn(bad())
+
+
 def test_murder_value_agrees_with_building_the_murder():
     def built(g):
         n = misere.rank(g)
