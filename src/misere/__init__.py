@@ -33,10 +33,7 @@ _EXPORTS = {
         "right_result", "strong_left_outcome", "strong_outcome",
         "strong_right_outcome",
     ),
-    "ordering": (
-        "Distinguisher", "definitional_ge_check", "distinguish", "equivalent",
-        "ge", "ge_normal",
-    ),
+    "ordering": ("definitional_ge_check", "equivalent", "ge", "ge_normal"),
     "canonical": (
         "ReductionStep", "ReversibleOption", "bypass_open_reversible",
         "canonical_form", "canonical_form_traced", "find_reversible",
@@ -49,9 +46,9 @@ _EXPORTS = {
         "murder_value", "parse", "print_game", "to_interchange",
     ),
     "lab": (
-        "MAX_ENUM_RANK", "CensusReport", "EnumerationBudget", "ScanReport",
-        "brute_strong_left", "brute_strong_right", "census",
-        "enumerate_dead_ends", "enumerate_dead_left_ends",
+        "MAX_ENUM_RANK", "CensusReport", "Distinguisher", "EnumerationBudget",
+        "ScanReport", "brute_strong_left", "brute_strong_right", "census",
+        "distinguish", "enumerate_dead_ends", "enumerate_dead_left_ends",
         "enumerate_dead_right_ends", "enumerate_games", "sample_rank3_games",
         "scan_cancellativity", "scan_conjugate_property",
         "scan_end_invertibility", "scan_hand_tying", "scan_murder_theorems",

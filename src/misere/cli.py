@@ -201,13 +201,13 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    from . import ordering
+    from . import lab
 
     g = notation.parse(args.left)
     h = notation.parse(args.right)
     u = Universe(args.universe)
     max_rank, max_options = _resolve_budget(args)
-    verdict = ordering.distinguish(g, h, u, max_rank, max_options)
+    verdict = lab.distinguish(g, h, u, max_rank, max_options)
 
     def doc():
         d = {"verdict": verdict.verdict,

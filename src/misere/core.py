@@ -266,6 +266,8 @@ _CONJ: dict = {}
 
 def conjugate(g: GameId) -> GameId:
     """Swap the roles of the players throughout the tree."""
+    # Before the memo: True hashes as 1 and would find its entry.
+    _validate_ids((g,))
     r = _CONJ.get(g)
     if r is None:
         lt, rt = _NODES[g]

@@ -7,6 +7,10 @@ refused when it exceeds the node cap, because the number of forms grows
 doubly exponentially with rank.  Everything here is deterministic: slices
 come out in structural order and sampling uses an explicit seed.
 
+Every search over an enumerated slice lives here: ``distinguish`` looks
+for a context that tells two games apart, ``census`` and the scans check
+the theory game by game.
+
 The dead-end sets are enumerated once per budget and cached; the public
 enumerators return a fresh list each call, and the brute force reads the
 cached tuples as they are.  Checks that only ask who wins a sum, the
@@ -103,6 +107,41 @@ def enumerate_games(budget: EnumerationBudget) -> list:
                 if universe is None or universe.contains(g):
                     accepted.append(g)
     return sorted(accepted, key=core.structural_key)
+
+
+class Distinguisher(core.Record):
+    """Result of a bounded search for a context telling two games apart.
+
+    verdict is one of "holds" (equivalence confirmed), "fails-with-witness"
+    (witness is a game x with outcome(g + x) != outcome(h + x)), or
+    "inconclusive" (no witness within the budget, equivalence not
+    confirmed).  budget is the pair (max_rank, max_options) searched.
+    """
+
+    __slots__ = ("verdict", "witness", "budget")
+    verdict: str
+    witness: Optional[GameId]
+    budget: tuple
+
+    HOLDS = "holds"
+    FAILS = "fails-with-witness"
+    INCONCLUSIVE = "inconclusive"
+
+
+def distinguish(g: GameId, h: GameId, u: Universe, max_rank: int = _DEFAULT_RANK,
+                max_options: int = _DEFAULT_OPTIONS) -> Distinguisher:
+    """Search u, by increasing rank in structural order, for a witness
+    context whose sum changes the outcome; fall back on the subordinate
+    test when none exists within the budget."""
+    core.require_member(g, u)
+    core.require_member(h, u)
+    budget = (max_rank, max_options)
+    for x in enumerate_games(EnumerationBudget(max_rank, max_options, u)):
+        if outcomes.outcome(g, x) != outcomes.outcome(h, x):
+            return Distinguisher(Distinguisher.FAILS, x, budget)
+    if ordering.equivalent(g, h, u):
+        return Distinguisher(Distinguisher.HOLDS, None, budget)
+    return Distinguisher(Distinguisher.INCONCLUSIVE, None, budget)
 
 
 @functools.lru_cache(maxsize=None)
@@ -499,36 +538,27 @@ def scan_cancellativity(universe: Universe, samples: int = 1000,
     ends = [e for e in enumerate_dead_ends(max_rank) if u.contains(e)]
     rng = random.Random(DEFAULT_SEED)
     violations = []
-    forward = 0
-    converse = 0
-    draws = 0
-    while forward < samples and draws < samples * 200:
-        draws += 1
-        g = games[rng.randrange(len(games))]
-        h = games[rng.randrange(len(games))]
-        if not ordering.ge(g, h, u):
-            continue
-        j = games[rng.randrange(len(games))]
-        forward += 1
-        if not ordering.ge(core.add(g, j), core.add(h, j), u):
-            violations.append(
-                "%s >= %s but adding %s breaks it" % (
+    checked = []
+    # Forward: g >= h must survive adding any j.  Converse: g >= h failing
+    # must still fail after adding an invertible j.
+    for holds, pool, message in (
+            (True, games, "%s >= %s but adding %s breaks it"),
+            (False, ends, "%s >= %s fails yet holds after adding invertible %s")):
+        n = draws = 0
+        while pool and n < samples and draws < samples * 200:
+            draws += 1
+            g = games[rng.randrange(len(games))]
+            h = games[rng.randrange(len(games))]
+            if ordering.ge(g, h, u) != holds:
+                continue
+            j = pool[rng.randrange(len(pool))]
+            n += 1
+            if ordering.ge(core.add(g, j), core.add(h, j), u) != holds:
+                violations.append(message % (
                     notation.print_game(g), notation.print_game(h),
                     notation.print_game(j)))
-    draws = 0
-    while ends and converse < samples and draws < samples * 200:
-        draws += 1
-        g = games[rng.randrange(len(games))]
-        h = games[rng.randrange(len(games))]
-        if ordering.ge(g, h, u):
-            continue
-        j = ends[rng.randrange(len(ends))]
-        converse += 1
-        if ordering.ge(core.add(g, j), core.add(h, j), u):
-            violations.append(
-                "%s >= %s fails yet holds after adding invertible %s" % (
-                    notation.print_game(g), notation.print_game(h),
-                    notation.print_game(j)))
+        checked.append(n)
+    forward, converse = checked
     return ScanReport("cancellativity", u.value,
                       forward + converse, tuple(violations),
                       {"games": len(games), "forward": forward,

@@ -21,11 +21,11 @@ game of its set is known to lie in its universe.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import core, outcomes
-from .core import DomainError, GameId, Universe
-from .outcomes import Result, left_result, outcome, outcome_ge, right_result
+from .core import GameId, Universe
+from .outcomes import Result, left_result, outcome_ge, right_result
 
 
 def _comparison(base, memo: dict) -> tuple:
@@ -148,39 +148,3 @@ def definitional_ge_check(g: GameId, h: GameId, u: Universe,
     # outcome_ge on every sum: no x where h + x wins for Left and g + x not.
     return not (h_left & ~g_left) and not (h_right & ~g_right)
 
-
-class Distinguisher(core.Record):
-    """Result of a bounded search for a context telling two games apart.
-
-    verdict is one of "holds" (equivalence confirmed), "fails-with-witness"
-    (witness is a game x with outcome(g + x) != outcome(h + x)), or
-    "inconclusive" (no witness within the budget, equivalence not
-    confirmed).  budget is the pair (max_rank, max_options) searched.
-    """
-
-    __slots__ = ("verdict", "witness", "budget")
-    verdict: str
-    witness: Optional[GameId]
-    budget: tuple
-
-    HOLDS = "holds"
-    FAILS = "fails-with-witness"
-    INCONCLUSIVE = "inconclusive"
-
-
-def distinguish(g: GameId, h: GameId, u: Universe, max_rank: int = core._DEFAULT_RANK,
-                max_options: int = core._DEFAULT_OPTIONS) -> Distinguisher:
-    """Search u, by increasing rank in structural order, for a witness
-    context whose sum changes the outcome; fall back on the subordinate
-    test when none exists within the budget."""
-    core.require_member(g, u)
-    core.require_member(h, u)
-    from . import lab
-
-    budget = (max_rank, max_options)
-    for x in lab.enumerate_games(lab.EnumerationBudget(max_rank, max_options, u)):
-        if outcome(g, x) != outcome(h, x):
-            return Distinguisher(Distinguisher.FAILS, x, budget)
-    if equivalent(g, h, u):
-        return Distinguisher(Distinguisher.HOLDS, None, budget)
-    return Distinguisher(Distinguisher.INCONCLUSIVE, None, budget)

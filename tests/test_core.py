@@ -269,3 +269,12 @@ NOT_GAMES = {"negative": lambda: -1, "bool": lambda: True,
 def test_membership_checks_refuse_ids_that_are_not_games(call, bad):
     with pytest.raises(ValueError, match="not an interned game id"):
         call(bad())
+
+
+@pytest.mark.parametrize("bad", NOT_GAMES.values(), ids=NOT_GAMES.keys())
+def test_conjugate_refuses_ids_that_are_not_games(bad):
+    g = bad()
+    size = len(core._CONJ)
+    with pytest.raises(ValueError, match="not an interned game id"):
+        misere.conjugate(g)
+    assert len(core._CONJ) == size

@@ -92,3 +92,13 @@ def test_the_empty_set_holds_for_every_pair():
     for u in (D, E):
         assert ordering.definitional_ge_check(zero, one, u, [])
         assert ordering.definitional_ge_check(one, zero, u, ())
+
+
+def test_definitional_check_follows_wrong_results(monkeypatch):
+    zero, one = misere.zero(), misere.integer(1)
+    tests = misere.enumerate_games(EnumerationBudget(2, 2, E))
+    assert not ordering.definitional_ge_check(zero, one, E, tests)
+    monkeypatch.setattr(ordering, "_OUTCOME_VECTORS", {})
+    for name in ("left_result", "right_result"):
+        monkeypatch.setattr(ordering, name, lambda g, h=zero: misere.Result.L)
+    assert ordering.definitional_ge_check(zero, one, E, tests)

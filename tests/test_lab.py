@@ -359,3 +359,44 @@ def test_hand_tying_scan_catches_a_wrong_comparison(monkeypatch):
     assert (rep.ok, len(rep.violations)) == (False, 60)
     assert any(line.startswith("  VIOLATION: widening ")
                for line in rep.render_text().splitlines())
+
+
+# A comparison that reads the outcomes alone and skips the options.  (One
+# by id would ignore structure too, but its verdicts, and so the counts
+# below, would depend on what the process interned first.)
+def _ge_by_outcome(g, h, u):
+    return misere.outcome_ge(misere.outcome(g), misere.outcome(h))
+
+
+def test_cancellativity_scan_catches_both_directions(monkeypatch):
+    monkeypatch.setattr(misere.ordering, "ge", _ge_by_outcome)
+    rep = misere.scan_cancellativity(E, samples=60, max_rank=2, max_options=2)
+    assert (rep.ok, rep.checked, len(rep.violations)) == (False, 120, 33)
+    forward = [v for v in rep.violations if v.endswith(" breaks it")]
+    converse = [v for v in rep.violations if " fails yet holds after " in v]
+    assert (len(forward), len(converse)) == (6, 27)
+    lines = rep.render_text().splitlines()
+    for planted in ("{1|-1} >= {0|-1} but adding {-1,1|-1,*} breaks it",
+                    "{0,-1|*} >= -2 fails yet holds after adding invertible -1"):
+        assert "  VIOLATION: " + planted in lines
+
+
+def test_weak_avoidance_scan_catches_a_wrong_comparison(monkeypatch):
+    monkeypatch.setattr(misere.ordering, "ge", _ge_by_outcome)
+    rep = misere.scan_weak_avoidance(E, max_rank=2, max_options=2)
+    assert (rep.ok, rep.checked, len(rep.violations)) == (False, 8240, 640)
+    planted = ("{-1|0} wins via -1 against {*|0} with no move in the "
+               "second component")
+    assert planted in rep.violations
+    assert "  VIOLATION: " + planted in rep.render_text().splitlines()
+
+
+def test_distinguish_misses_the_witness_when_outcomes_are_wrong(monkeypatch):
+    one, zero = misere.integer(1), misere.zero()
+    clean = misere.distinguish(one, zero, E)
+    assert (clean.verdict, clean.witness) == (misere.Distinguisher.FAILS, zero)
+    monkeypatch.setattr(misere.outcomes, "outcome",
+                        lambda g, h=zero: misere.Outcome.N)
+    planted = misere.distinguish(one, zero, E)
+    assert (planted.verdict, planted.witness) == (
+        misere.Distinguisher.INCONCLUSIVE, None)
